@@ -10,8 +10,8 @@ import (
 )
 
 // maxSpeculateAllocsPerWindow caps the steady-state allocation count of
-// one window's speculative selection (session setup, one TMerge clone,
-// the full bandit run, and the submission log) on the fixture below.
+// one window's speculative selection (session setup, the full bandit
+// run, and the submission log) on the fixture below.
 // The cap carries ~3x headroom over the measured count; its job is to
 // catch the kind of regression that reintroduces per-iteration garbage
 // — which multiplies the figure a hundredfold — not to pin the exact
@@ -39,9 +39,9 @@ func TestSpeculateSelectionAllocs(t *testing.T) {
 	// Warm: fills the feature store, so steady-state windows re-embed
 	// nothing (like overlapping windows of one pass), and grows the
 	// pooled plan scratch.
-	SpeculateSelection(algo, fx.ps, oracle, store, 0.2)
+	speculateSelection(algo, fx.ps, oracle, store, 0.2)
 	got := testing.AllocsPerRun(10, func() {
-		SpeculateSelection(algo, fx.ps, oracle, store, 0.2)
+		speculateSelection(algo, fx.ps, oracle, store, 0.2)
 	})
 	if got > maxSpeculateAllocsPerWindow {
 		t.Errorf("speculative window selection: %v allocs, cap %v", got, maxSpeculateAllocsPerWindow)
@@ -126,10 +126,10 @@ func TestIndexSamplerNextAllocs(t *testing.T) {
 
 func BenchmarkSpeculateSelection(b *testing.B) {
 	fx, oracle, store, algo := speculateAllocFixture()
-	SpeculateSelection(algo, fx.ps, oracle, store, 0.2)
+	speculateSelection(algo, fx.ps, oracle, store, 0.2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		SpeculateSelection(algo, fx.ps, oracle, store, 0.2)
+		speculateSelection(algo, fx.ps, oracle, store, 0.2)
 	}
 }

@@ -11,10 +11,11 @@ import (
 
 // Cloner is implemented by algorithms that carry per-Select mutable
 // state (TMerge's diagnostics, for example) and therefore cannot share
-// one instance across concurrent Select calls. The parallel window
-// executor clones such algorithms once per window; algorithms without
-// the method are assumed stateless across Select calls (every other
-// algorithm in this package is) and are shared as-is.
+// one instance across concurrent Select calls. The window engine clones
+// such algorithms once per window when it speculates on more than one
+// worker; algorithms without the method are assumed stateless across
+// Select calls (every other algorithm in this package is) and are shared
+// as-is.
 //
 // A clone must be configured identically to its parent — same seed
 // included. Per-window stream independence comes from the seeding
@@ -27,15 +28,6 @@ type Cloner interface {
 	CloneAlgorithm() Algorithm
 }
 
-// cloneForWindow returns an instance of algo safe for a concurrent
-// per-window Select call.
-func cloneForWindow(algo Algorithm) Algorithm {
-	if c, ok := algo.(Cloner); ok {
-		return c.CloneAlgorithm()
-	}
-	return algo
-}
-
 // EffectiveWorkers resolves a configured worker count: 0 means
 // runtime.NumCPU(), anything else is taken as-is (callers validate
 // negatives away).
@@ -46,127 +38,146 @@ func EffectiveWorkers(workers int) int {
 	return workers
 }
 
-// WindowSelection is the speculative outcome of one window's candidate
-// selection: the oracle-backed candidate set, the submission log to be
-// replayed canonically, and enough context to fall back to the spatial
-// prior if the replay hits an unavailable device. Produce it with
-// SpeculateSelection (concurrently, in any order), then Commit it in
-// canonical window order.
-type WindowSelection struct {
+// WindowOutcome is one window's committed result from RunWindows.
+type WindowOutcome struct {
+	// Selected is the window's candidate set P̂*c|K, oracle-backed or,
+	// when Degraded, ranked by the spatial prior. Nil for an empty pair
+	// universe.
+	Selected []video.PairKey
+	// Merged is the subset of Selected that passed inspection, in
+	// selection order.
+	Merged []video.PairKey
+	// Degraded reports that the oracle's device was unavailable while
+	// the window was certified.
+	Degraded bool
+	// Events is the window's slice of the merger's union log, nil when
+	// the window caused no union. It aliases the merger's log.
+	Events []MergeEvent
+}
+
+// WindowRunner is the signature of RunWindows. Production passes always
+// run RunWindows; the equivalence suites substitute a sequential
+// reference through it.
+type WindowRunner func(algo Algorithm, K float64, oracle *reid.Oracle, merger *Merger, inspect func(*video.Pair) bool, workers, n int, pairSet func(i int) *video.PairSet, emit func(i int, w WindowOutcome))
+
+// RunWindows is the window engine: the per-window procedure of §II —
+// select the top ⌈K·|Pc|⌉ pairs of each window's universe, merge them —
+// for windows 0..n-1, whose universes pairSet(i) builds. Every offline
+// pass and every streaming push runs through it.
+//
+// Selection is speculated per window on a pool of
+// EffectiveWorkers(workers) goroutines (the calling goroutine alone when
+// that is 1 or n is 1) against a speculative oracle session sharing one
+// feature store: no device time, stats, faults, or cache entries are
+// touched (see reid.Session). Each window's recorded submissions are then
+// certified against the real oracle strictly in window order through
+// Oracle.ReplayBatch, which reproduces a sequential execution's cache
+// hits, virtual clock, fault injections, retries, and breaker transitions
+// bit for bit. A window whose certification hits an unavailable device
+// degrades to the spatial prior: its completed submissions stay charged
+// and later windows still certify. Any other replay error is a
+// programming bug and panics.
+//
+// The certified pairs that pass inspect (all of them when inspect is
+// nil) are merged into merger, and emit(i, outcome) reports the window
+// on the calling goroutine, in window order, after window i's merges and
+// before window i+1's. pairSet may run concurrently for different
+// windows; empty universes select nothing and touch no oracle.
+func RunWindows(algo Algorithm, K float64, oracle *reid.Oracle, merger *Merger, inspect func(*video.Pair) bool, workers, n int, pairSet func(i int) *video.PairSet, emit func(i int, w WindowOutcome)) {
+	workers = min(EffectiveWorkers(workers), n)
+	store := reid.NewFeatureStore()
+	var logs [][]reid.SubmissionRecord // reused batch scratch for the committer
+	forEachOrderedBatch(n, workers,
+		func(i int) speculated {
+			ps := pairSet(i)
+			if ps.Len() == 0 {
+				return speculated{ps: ps}
+			}
+			a := algo
+			if c, ok := algo.(Cloner); ok && workers > 1 {
+				a = c.CloneAlgorithm()
+			}
+			return speculateSelection(a, ps, oracle, store, K)
+		},
+		func(start int, batch []speculated) {
+			logs = logs[:0]
+			for k := range batch {
+				logs = append(logs, batch[k].log)
+			}
+			errs := oracle.ReplayBatch(logs, store)
+			for k := range batch {
+				s := &batch[k]
+				w := WindowOutcome{Selected: s.selected}
+				if err := errs[k]; err != nil {
+					var ua *device.Unavailable
+					if !errors.As(err, &ua) {
+						panic(err)
+					}
+					w.Selected, w.Degraded = SpatialSelect(s.ps, K), true
+				}
+				seq := merger.EventCount()
+				for _, key := range w.Selected {
+					if inspect == nil || inspect(s.ps.Get(key)) {
+						merger.Merge(key)
+						w.Merged = append(w.Merged, key)
+					}
+				}
+				if events := merger.EventsSince(seq); len(events) > 0 {
+					// Event-free windows report nil: EventsSince aliases the
+					// retained log, whose nil-ness depends on whether
+					// TrimEvents has dropped a sealed prefix.
+					w.Events = events
+				}
+				emit(start+k, w)
+			}
+		})
+}
+
+// speculated is one window's speculative selection: the oracle-backed
+// candidate set and the submission log that certifies it.
+type speculated struct {
 	ps       *video.PairSet
-	k        float64
 	selected []video.PairKey
 	log      []reid.SubmissionRecord
 }
 
-// SpeculateSelection runs algo over ps against a speculative session of
-// oracle backed by store, without touching the real device, stats,
-// cache, or fault machinery. It is safe to call concurrently for
-// different windows sharing one store; results are bit-identical to a
-// sequential fault-free Select because selection depends only on the
-// algorithm's seed and the (deterministic) distances.
-func SpeculateSelection(algo Algorithm, ps *video.PairSet, oracle *reid.Oracle, store *reid.FeatureStore, K float64) *WindowSelection {
+// speculateSelection runs algo over ps against a speculative session of
+// oracle backed by store. It is safe to call concurrently for different
+// windows sharing one store (with one algorithm instance per call, see
+// Cloner); the selection is bit-identical to a fault-free Select on the
+// real oracle because it depends only on the algorithm's seed and the
+// (deterministic) distances.
+func speculateSelection(algo Algorithm, ps *video.PairSet, oracle *reid.Oracle, store *reid.FeatureStore, K float64) speculated {
 	sess := oracle.Speculate(store)
-	selected := cloneForWindow(algo).Select(ps, sess.Oracle(), K)
-	return &WindowSelection{ps: ps, k: K, selected: selected, log: sess.Log()}
+	selected := algo.Select(ps, sess.Oracle(), K)
+	return speculated{ps: ps, selected: selected, log: sess.Log()}
 }
 
-// Selected returns the speculative oracle-backed candidate set.
-func (ws *WindowSelection) Selected() []video.PairKey { return ws.selected }
-
-// Commit replays the selection's recorded oracle work against the real
-// oracle — charging virtual time, committing stats and cache entries,
-// and exercising the fault/retry/breaker stack in canonical submission
-// order. If the device gives out mid-replay the window degrades exactly
-// like a sequential SelectWithFallback: the completed submissions stay
-// charged, the remainder of the log is abandoned, and the returned
-// candidates are re-ranked by the spatial prior. Commit must be called
-// once per selection, in canonical window order.
-func (ws *WindowSelection) Commit(oracle *reid.Oracle, store *reid.FeatureStore) (selected []video.PairKey, degraded bool) {
-	sel, deg := CommitSelections(oracle, store, []*WindowSelection{ws})
-	return sel[0], deg[0]
-}
-
-// CommitSelections certifies several consecutive windows' selections in
-// one batched replay pass — the TMerge-B batching insight applied to
-// certification. sels must be the windows' selections in canonical
-// window order; their logs are handed to Oracle.ReplayBatch together, so
-// the batch shares one planning-scratch set and one fallible-device
-// lookup while reproducing exactly the per-record cache hits, stats,
-// virtual time, and fault-path activity of committing each window alone.
-// A nil entry (a window with no selection to certify) replays nothing
-// and yields a nil candidate set.
+// forEachOrderedBatch runs work(i) for every i in [0, n) on a bounded
+// pool of workers and delivers the results to commitBatch(start, vs) —
+// vs[k] being work(start+k)'s result — in ascending index order on the
+// calling goroutine. With workers <= 1 (or n == 1) every call runs
+// inline on the calling goroutine and no goroutine is started.
+// In-flight work — dispatched but not yet committed — is bounded by
+// 2·workers, so a slow early window cannot make the executor buffer the
+// whole partition.
 //
-// Per-window outcomes mirror Commit: a window whose replay hits an
-// unavailable device degrades to the spatial prior (completed
-// submissions stay charged, later windows still replay), and any other
-// replay error is a programming bug and panics.
-func CommitSelections(oracle *reid.Oracle, store *reid.FeatureStore, sels []*WindowSelection) (selected [][]video.PairKey, degraded []bool) {
-	logs := make([][]reid.SubmissionRecord, len(sels))
-	for i, ws := range sels {
-		if ws != nil {
-			logs[i] = ws.log
-		}
-	}
-	errs := oracle.ReplayBatch(logs, store)
-	selected = make([][]video.PairKey, len(sels))
-	degraded = make([]bool, len(sels))
-	for i, ws := range sels {
-		if ws == nil {
-			continue
-		}
-		if err := errs[i]; err != nil {
-			var ua *device.Unavailable
-			if !errors.As(err, &ua) {
-				// Not a device fault: a corrupted log or store. This is a
-				// programming error, reported like any other invariant
-				// violation on the infallible pipeline path.
-				panic(err)
-			}
-			selected[i] = SpatialSelect(ws.ps, ws.k)
-			degraded[i] = true
-			continue
-		}
-		selected[i] = ws.selected
-	}
-	return selected, degraded
-}
-
-// ForEachOrdered runs work(i) for every i in [0, n) on a bounded pool of
-// workers and delivers the results to commit(i, v) in ascending index
-// order on the calling goroutine. In-flight work — dispatched but not
-// yet committed — is bounded by 2·workers, so a slow early window cannot
-// make the executor buffer the whole partition.
+// Each batch is the maximal run of consecutive indices already finished
+// when the committer reaches its head: the head is awaited, then ready
+// successors are drained without blocking, so a caller whose commit has
+// batch economies (the window certifier's oracle replay) amortises them
+// over every window that finished while earlier ones were being
+// committed, without ever delaying a ready result to grow a batch.
+// Batches cover every index exactly once, and vs is only valid during
+// the call (it is reused).
 //
-// A panic in any work call cancels dispatch of further indices; after
-// every in-flight worker has drained, the panic value is re-raised on
-// the calling goroutine (first panicking index wins), so callers observe
-// the same panic a sequential loop would have produced and no goroutine
-// outlives the call.
-func ForEachOrdered[T any](n, workers int, work func(i int) T, commit func(i int, v T)) {
-	ForEachOrderedBatch(n, workers, work, func(start int, vs []T) {
-		for k := range vs {
-			commit(start+k, vs[k])
-		}
-	})
-}
-
-// ForEachOrderedBatch is ForEachOrdered delivering results to
-// commitBatch(start, vs) — vs[k] being work(start+k)'s result — instead
-// of one call per index. Each batch is the maximal run of consecutive
-// indices already finished when the committer reaches its head: the head
-// is awaited, then ready successors are drained without blocking, so a
-// caller whose commit has batch economies (the window certifier's
-// oracle replay, for instance) amortises them over every window that
-// finished while earlier ones were being committed, without ever
-// delaying a ready result to grow a batch. Batches arrive in ascending
-// order, cover every index exactly once, and vs is only valid during the
-// call (it is reused).
-//
-// Panic semantics match ForEachOrdered index-for-index: results before
-// the first panicking index are still committed (as a final, possibly
-// shortened batch) before the panic value is re-raised.
-func ForEachOrderedBatch[T any](n, workers int, work func(i int) T, commitBatch func(start int, vs []T)) {
+// A panic in any work call cancels dispatch of further indices; results
+// before the first panicking index are still committed (as a final,
+// possibly shortened batch), and after every in-flight worker has
+// drained the panic value is re-raised on the calling goroutine, so
+// callers observe the same panic a sequential loop would have produced
+// and no goroutine outlives the call.
+func forEachOrderedBatch[T any](n, workers int, work func(i int) T, commitBatch func(start int, vs []T)) {
 	if n <= 0 {
 		return
 	}

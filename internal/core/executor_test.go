@@ -28,6 +28,16 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 	}
 }
 
+// forEachOrdered drives forEachOrderedBatch one commit call per index,
+// the shape most of these tests assert on.
+func forEachOrdered[T any](n, workers int, work func(i int) T, commit func(i int, v T)) {
+	forEachOrderedBatch(n, workers, work, func(start int, vs []T) {
+		for k := range vs {
+			commit(start+k, vs[k])
+		}
+	})
+}
+
 // TestForEachOrderedCommitsInOrder: commits must arrive strictly in
 // ascending index order on the calling goroutine even when work
 // completes wildly out of order.
@@ -35,7 +45,7 @@ func TestForEachOrderedCommitsInOrder(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const n, workers = 200, 4
 	next := 0
-	ForEachOrdered(n, workers,
+	forEachOrdered(n, workers,
 		func(i int) int {
 			// Earlier indices sleep longer, maximising out-of-order
 			// completion pressure on the reducer.
@@ -63,7 +73,7 @@ func TestForEachOrderedBoundedInFlight(t *testing.T) {
 	const n, workers = 120, 3
 	var started, running, maxRunning atomic.Int64
 	committed := 0
-	ForEachOrdered(n, workers,
+	forEachOrdered(n, workers,
 		func(i int) struct{} {
 			started.Add(1)
 			r := running.Add(1)
@@ -114,7 +124,7 @@ func TestForEachOrderedPanicInWork(t *testing.T) {
 				t.Fatalf("recovered %v, want boom-5", r)
 			}
 		}()
-		ForEachOrdered(n, workers,
+		forEachOrdered(n, workers,
 			func(i int) int {
 				started.Add(1)
 				if i == failAt {
@@ -148,7 +158,7 @@ func TestForEachOrderedPanicInCommit(t *testing.T) {
 				t.Fatalf("recovered %v, want commit-boom", r)
 			}
 		}()
-		ForEachOrdered(n, workers,
+		forEachOrdered(n, workers,
 			func(i int) int { return i },
 			func(i int, v int) {
 				if i == failAt {
@@ -160,14 +170,23 @@ func TestForEachOrderedPanicInCommit(t *testing.T) {
 }
 
 // TestForEachOrderedSequentialPaths: degenerate worker counts (<= 1, or
-// pools larger than the job list) still commit every index in order.
+// pools larger than the job list) still commit every index in order, and
+// a pool of one (workers <= 1, or a single index) runs inline on the
+// calling goroutine without starting any goroutine.
 func TestForEachOrderedSequentialPaths(t *testing.T) {
 	for _, tc := range []struct{ n, workers int }{
 		{0, 4}, {1, 4}, {3, 100}, {5, 1}, {5, 0},
 	} {
+		inline := tc.n <= 1 || tc.workers <= 1
+		before := runtime.NumGoroutine()
 		var got []int
-		ForEachOrdered(tc.n, tc.workers,
-			func(i int) int { return i },
+		forEachOrdered(tc.n, tc.workers,
+			func(i int) int {
+				if now := runtime.NumGoroutine(); inline && now > before {
+					t.Errorf("n=%d workers=%d: %d goroutines during inline work, %d before", tc.n, tc.workers, now, before)
+				}
+				return i
+			},
 			func(i int, v int) { got = append(got, v) })
 		if len(got) != tc.n {
 			t.Fatalf("n=%d workers=%d: committed %d", tc.n, tc.workers, len(got))

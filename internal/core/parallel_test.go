@@ -63,10 +63,12 @@ func equivAlgorithms(seed uint64) []equivAlgorithm {
 	}
 }
 
-// runWorkersVariants runs the same pass once per worker count on fresh
-// oracles built by mkOracle and asserts every result — the full
+// runWorkersVariants runs the sequential reference (referencePipeline)
+// once, then the window engine once per worker count, each on a fresh
+// oracle built by mkOracle, and asserts every engine result — the full
 // PipelineResult (merged track set included), the oracle's end state
-// (stats + cache), and the fingerprint — is bit-identical to Workers=1.
+// (stats + cache), and the fingerprint — is bit-identical to the
+// reference.
 func runWorkersVariants(t *testing.T, ts *video.TrackSet, numFrames int, mkAlgo func() Algorithm, mkOracle func() *reid.Oracle, base PipelineConfig) {
 	t.Helper()
 	workerCounts := []int{1, 2, runtime.NumCPU()}
@@ -74,35 +76,30 @@ func runWorkersVariants(t *testing.T, ts *video.TrackSet, numFrames int, mkAlgo 
 		workerCounts = []int{1, 2, 4}
 	}
 
-	type outcome struct {
-		res    *PipelineResult
-		oState reid.OracleState
-	}
-	var ref outcome
-	for i, workers := range workerCounts {
+	run := func(workers int, runner WindowRunner) (*PipelineResult, reid.OracleState) {
 		cfg := base
 		cfg.Algorithm = mkAlgo()
 		cfg.Workers = workers
 		oracle := mkOracle()
-		res, err := TryRunPipeline(ts, numFrames, oracle, cfg)
+		res, err := tryRunPipeline(ts, numFrames, oracle, cfg, runner)
 		if err != nil {
 			t.Fatalf("Workers=%d: %v", workers, err)
 		}
-		got := outcome{res: res, oState: oracle.State()}
-		if i == 0 {
-			ref = got
-			continue
+		return res, oracle.State()
+	}
+	ref, refState := run(1, sequentialWindows)
+	for _, workers := range workerCounts {
+		res, state := run(workers, RunWindows)
+		if ref.Fingerprint() != res.Fingerprint() {
+			t.Errorf("Workers=%d: fingerprint diverged from the sequential reference", workers)
 		}
-		if ref.res.Fingerprint() != res.Fingerprint() {
-			t.Errorf("Workers=%d: fingerprint diverged from Workers=%d", workers, workerCounts[0])
+		if !reflect.DeepEqual(ref, res) {
+			t.Errorf("Workers=%d: PipelineResult diverged from the sequential reference:\nref:  %+v\ngot:  %+v",
+				workers, summarize(ref), summarize(res))
 		}
-		if !reflect.DeepEqual(ref.res, res) {
-			t.Errorf("Workers=%d: PipelineResult diverged from Workers=%d:\nref:  %+v\ngot:  %+v",
-				workers, workerCounts[0], summarize(ref.res), summarize(res))
-		}
-		if !reflect.DeepEqual(ref.oState, got.oState) {
+		if !reflect.DeepEqual(refState, state) {
 			t.Errorf("Workers=%d: oracle end state (stats/cache) diverged: ref stats %+v, got %+v",
-				workers, ref.oState.Stats, got.oState.Stats)
+				workers, refState.Stats, state.Stats)
 		}
 	}
 }
@@ -114,8 +111,8 @@ func summarize(r *PipelineResult) string {
 }
 
 // TestParallelEquivalence: Workers ∈ {1, 2, NumCPU} must be bit-identical
-// across the full algorithm matrix and several scene/model seeds, in both
-// Verify modes.
+// to the sequential reference across the full algorithm matrix and
+// several scene/model seeds, in both Verify modes.
 func TestParallelEquivalence(t *testing.T) {
 	for _, seed := range []uint64{7, 19} {
 		seed := seed
@@ -133,21 +130,26 @@ func TestParallelEquivalence(t *testing.T) {
 }
 
 // TestParallelEquivalenceWholeVideo: the single-window (WindowLen <= 0)
-// path must be untouched by the workers setting.
+// pass must match the sequential reference at every workers setting.
 func TestParallelEquivalenceWholeVideo(t *testing.T) {
 	v, ts := equivScene(t, 7)
-	runWorkersVariants(t, ts, v.NumFrames,
-		func() Algorithm { return NewTMerge(DefaultTMergeConfig(3)) },
-		func() *reid.Oracle { return newFixtureOracle(7) },
-		PipelineConfig{WindowLen: 0, K: 0.1})
+	for _, ea := range equivAlgorithms(3) {
+		ea := ea
+		t.Run(ea.name, func(t *testing.T) {
+			t.Parallel()
+			runWorkersVariants(t, ts, v.NumFrames, ea.mk,
+				func() *reid.Oracle { return newFixtureOracle(7) },
+				PipelineConfig{WindowLen: 0, K: 0.1})
+		})
+	}
 }
 
 // TestParallelEquivalenceUnderFault: a scripted outage on a resilient
 // flaky device — retries, backoff jitter, breaker trips, probes, and
-// degraded spatial-prior windows all included — must reproduce
-// bit-identically at every worker count: identical reports and degraded
-// flags, identical resilience counters, identical fault-injector
-// accounting.
+// degraded spatial-prior windows all included — must reproduce the
+// sequential reference bit-identically at every worker count: identical
+// reports and degraded flags, identical resilience counters, identical
+// fault-injector accounting.
 func TestParallelEquivalenceUnderFault(t *testing.T) {
 	v, ts := faultScene(t)
 	for _, ea := range equivAlgorithms(7) {
@@ -181,14 +183,19 @@ func TestParallelEquivalenceUnderFault(t *testing.T) {
 // exercises the no-cache replay path.
 func TestParallelEquivalenceCacheDisabled(t *testing.T) {
 	v, ts := equivScene(t, 7)
-	runWorkersVariants(t, ts, v.NumFrames,
-		func() Algorithm { return NewTMerge(DefaultTMergeConfig(3)) },
-		func() *reid.Oracle {
-			o := newFixtureOracle(7)
-			o.SetCacheEnabled(false)
-			return o
-		},
-		PipelineConfig{WindowLen: 200, K: 0.1})
+	for _, ea := range equivAlgorithms(3) {
+		ea := ea
+		t.Run(ea.name, func(t *testing.T) {
+			t.Parallel()
+			runWorkersVariants(t, ts, v.NumFrames, ea.mk,
+				func() *reid.Oracle {
+					o := newFixtureOracle(7)
+					o.SetCacheEnabled(false)
+					return o
+				},
+				PipelineConfig{WindowLen: 200, K: 0.1})
+		})
+	}
 }
 
 // TestParallelWorkersValidation: negative worker counts are rejected,

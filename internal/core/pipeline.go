@@ -29,14 +29,13 @@ type PipelineConfig struct {
 	// this workflow — identification quality is what the algorithms are
 	// compared on, and merging a false candidate would corrupt tracks.
 	Verify bool
-	// Workers bounds the worker pool of the parallel window executor:
-	// 0 selects runtime.NumCPU(), 1 runs the windows strictly
-	// sequentially on the calling goroutine, and larger values run
-	// window selection concurrently with results reduced into the
-	// merger, stats, and reports in canonical window order. Every
-	// worker count produces bit-identical results (DESIGN.md §10);
-	// Workers only trades wall-clock time. Negative values are
-	// rejected by Validate.
+	// Workers bounds the worker pool of the window engine (RunWindows):
+	// 0 selects runtime.NumCPU(), 1 speculates every window on the
+	// calling goroutine, and larger values speculate window selection
+	// concurrently; certification and merging always run in canonical
+	// window order. Every worker count produces bit-identical results
+	// (DESIGN.md §10); Workers only trades wall-clock time. Negative
+	// values are rejected by Validate.
 	Workers int
 }
 
@@ -137,31 +136,52 @@ func RunPipeline(tracks *video.TrackSet, numFrames int, oracle *reid.Oracle, cfg
 // WindowReport. Oracle-backed selection resumes as soon as the device
 // recovers.
 func TryRunPipeline(tracks *video.TrackSet, numFrames int, oracle *reid.Oracle, cfg PipelineConfig) (*PipelineResult, error) {
+	return tryRunPipeline(tracks, numFrames, oracle, cfg, RunWindows)
+}
+
+// tryRunPipeline is TryRunPipeline with its windows run by run.
+func tryRunPipeline(tracks *video.TrackSet, numFrames int, oracle *reid.Oracle, cfg PipelineConfig, run WindowRunner) (*PipelineResult, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	res := &PipelineResult{FramesProcessed: numFrames}
 	startStats := oracle.Stats()
 	startClock := oracle.Device().Clock().Elapsed()
-	rd, _ := oracle.Device().(*device.ResilientDevice)
+	rd := device.FindResilient(oracle.Device())
 	var startRes device.ResilientCounters
 	if rd != nil {
 		startRes = rd.Counters()
 	}
 
+	var inspect func(*video.Pair) bool
+	if cfg.Verify {
+		inspect = motmetrics.Polyonymous
+	}
 	merger := NewMerger()
 	jobs := planWindows(tracks, numFrames, cfg.WindowLen)
-
-	if workers := EffectiveWorkers(cfg.Workers); workers > 1 && len(jobs) > 1 {
-		runWindowsParallel(jobs, oracle, cfg, workers, merger, res)
-	} else {
-		for _, j := range jobs {
+	run(cfg.Algorithm, cfg.K, oracle, merger, inspect, cfg.Workers, len(jobs),
+		func(i int) *video.PairSet {
+			j := &jobs[i]
 			ps := video.BuildPairSet(j.w, j.cur, j.prev)
-			truth := motmetrics.PolyonymousPairs(ps)
-			selected, degraded := SelectWithFallback(cfg.Algorithm, ps, oracle, cfg.K)
-			commitWindow(res, merger, cfg, j.w, ps, truth, selected, degraded)
-		}
-	}
+			j.pairs, j.truth = ps.Len(), motmetrics.PolyonymousPairs(ps)
+			return ps
+		},
+		func(i int, w WindowOutcome) {
+			j := &jobs[i]
+			if w.Degraded {
+				res.DegradedWindows++
+			}
+			res.Windows = append(res.Windows, WindowReport{
+				Window:   j.w,
+				Pairs:    j.pairs,
+				Truth:    len(j.truth),
+				Selected: w.Selected,
+				Recall:   video.Recall(w.Selected, j.truth),
+				Degraded: w.Degraded,
+				Events:   w.Events,
+			})
+			j.truth = nil
+		})
 
 	res.Merged = merger.Apply(tracks)
 	endStats := oracle.Stats()
@@ -196,11 +216,14 @@ func TryRunPipeline(tracks *video.TrackSet, numFrames int, oracle *reid.Oracle, 
 // track list (the pair universe draws candidates across the overlap).
 // All three are pure functions of the track set and the partition, so
 // the whole job list can be materialised up front and processed in any
-// order.
+// order. pairs and truth (|Pc| and P*c) are filled in when the window's
+// universe is built, and truth is released once the window is reported.
 type windowJob struct {
-	w    video.Window
-	cur  []*video.Track
-	prev []*video.Track
+	w     video.Window
+	cur   []*video.Track
+	prev  []*video.Track
+	pairs int
+	truth map[video.PairKey]bool
 }
 
 // planWindows materialises the window job list for one pass.
@@ -219,76 +242,6 @@ func planWindows(tracks *video.TrackSet, numFrames, windowLen int) []windowJob {
 		}
 	}
 	return jobs
-}
-
-// commitWindow folds one processed window into the pass state — merger,
-// degraded counter, and window report. Both the sequential loop and the
-// parallel executor's ordered reduction funnel through it, in canonical
-// window order.
-func commitWindow(res *PipelineResult, merger *Merger, cfg PipelineConfig, w video.Window, ps *video.PairSet, truth map[video.PairKey]bool, selected []video.PairKey, degraded bool) {
-	if degraded {
-		res.DegradedWindows++
-	}
-	seq := merger.EventCount()
-	if cfg.Verify {
-		for _, k := range selected {
-			if truth[k] {
-				merger.Merge(k)
-			}
-		}
-	} else {
-		merger.MergeAll(selected)
-	}
-	res.Windows = append(res.Windows, WindowReport{
-		Window:   w,
-		Pairs:    ps.Len(),
-		Truth:    len(truth),
-		Selected: selected,
-		Recall:   video.Recall(selected, truth),
-		Degraded: degraded,
-		Events:   merger.EventsSince(seq),
-	})
-}
-
-// runWindowsParallel is the sharded window executor: selection for each
-// window is speculated concurrently on a bounded worker pool against a
-// shared feature store (no device time, stats, faults, or cache
-// involved — see reid.Session), and each window's recorded submission
-// log is then certified against the real oracle strictly in canonical
-// window order, which reproduces the sequential execution's cache hits,
-// virtual clock, fault injections, retries, and breaker transitions
-// bit-for-bit. A window whose certification hits an unavailable device
-// degrades to the spatial prior exactly like a sequential
-// SelectWithFallback.
-func runWindowsParallel(jobs []windowJob, oracle *reid.Oracle, cfg PipelineConfig, workers int, merger *Merger, res *PipelineResult) {
-	type speculated struct {
-		ps    *video.PairSet
-		truth map[video.PairKey]bool
-		sel   *WindowSelection
-	}
-	store := reid.NewFeatureStore()
-	var sels []*WindowSelection // reused batch scratch for the committer
-	ForEachOrderedBatch(len(jobs), workers,
-		func(i int) speculated {
-			j := jobs[i]
-			ps := video.BuildPairSet(j.w, j.cur, j.prev)
-			return speculated{
-				ps:    ps,
-				truth: motmetrics.PolyonymousPairs(ps),
-				sel:   SpeculateSelection(cfg.Algorithm, ps, oracle, store, cfg.K),
-			}
-		},
-		func(start int, batch []speculated) {
-			sels = sels[:0]
-			for k := range batch {
-				sels = append(sels, batch[k].sel)
-			}
-			selected, degraded := CommitSelections(oracle, store, sels)
-			for k := range batch {
-				s := &batch[k]
-				commitWindow(res, merger, cfg, jobs[start+k].w, s.ps, s.truth, selected[k], degraded[k])
-			}
-		})
 }
 
 // tracksInWhole returns all tracks in the deterministic order used for

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/tmerge/tmerge/internal/device"
@@ -65,16 +66,28 @@ func TestPipelineSurvivesScriptedOutage(t *testing.T) {
 		t.Fatalf("got %d windows, want 8", len(ref.Windows))
 	}
 
-	// Faulty run: same scene and model over a scripted-outage device.
-	flaky := fault.NewFlaky(device.NewCPU(device.DefaultCPU), fault.Config{
-		Schedule: fault.NewSchedule(fault.Outage{From: 2, To: 6}),
-	})
-	rd := device.NewResilientDevice(flaky,
-		device.RetryPolicy{MaxAttempts: 4, Jitter: -1},
-		device.BreakerConfig{Threshold: 3, Cooldown: -1, CooldownRejections: -1},
-		11)
-	oracle := reid.NewOracle(reid.NewModel(7, testDim), rd)
+	// Faulty runs: same scene and model over a scripted-outage device,
+	// once on the window engine and once on the sequential reference.
+	faulty := func() (*fault.Flaky, *device.ResilientDevice, *reid.Oracle) {
+		flaky := fault.NewFlaky(device.NewCPU(device.DefaultCPU), fault.Config{
+			Schedule: fault.NewSchedule(fault.Outage{From: 2, To: 6}),
+		})
+		rd := device.NewResilientDevice(flaky,
+			device.RetryPolicy{MaxAttempts: 4, Jitter: -1},
+			device.BreakerConfig{Threshold: 3, Cooldown: -1, CooldownRejections: -1},
+			11)
+		return flaky, rd, reid.NewOracle(reid.NewModel(7, testDim), rd)
+	}
+	flaky, rd, oracle := faulty()
 	res := RunPipeline(ts, v.NumFrames, oracle, cfg)
+	refFlaky, _, refOracle := faulty()
+	seq, err := referencePipeline(ts, v.NumFrames, refOracle, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seq, res) || flaky.Counters() != refFlaky.Counters() {
+		t.Errorf("faulty run diverged from the sequential reference:\nref:  %s\ngot:  %s", summarize(seq), summarize(res))
+	}
 
 	if len(res.Windows) != len(ref.Windows) {
 		t.Fatalf("faulty run produced %d windows, reference %d", len(res.Windows), len(ref.Windows))

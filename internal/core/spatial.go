@@ -1,7 +1,6 @@
 package core
 
 import (
-	"github.com/tmerge/tmerge/internal/device"
 	"github.com/tmerge/tmerge/internal/reid"
 	"github.com/tmerge/tmerge/internal/video"
 )
@@ -36,26 +35,4 @@ func SpatialSelect(ps *video.PairSet, K float64) []video.PairKey {
 		scored[i] = scoredPair{key: p.Key, score: p.DisS}
 	}
 	return rankAndTruncate(scored, ps, K)
-}
-
-// SelectWithFallback runs algo over the pair universe, degrading to the
-// spatial prior when the oracle's device gives out mid-window: a
-// fallible device whose submission cannot be completed (retry budget
-// exhausted, circuit breaker open) panics with *device.Unavailable, and
-// this wrapper recovers exactly that panic, re-ranks the window's
-// candidates with SpatialSelect, and reports degraded=true. Any other
-// panic propagates. The window is never stalled or dropped; selection
-// quality degrades instead, and oracle-backed selection resumes the
-// moment the breaker closes (the next window simply tries again).
-func SelectWithFallback(algo Algorithm, ps *video.PairSet, oracle *reid.Oracle, K float64) (selected []video.PairKey, degraded bool) {
-	defer func() {
-		if r := recover(); r != nil {
-			if _, ok := r.(*device.Unavailable); !ok {
-				panic(r)
-			}
-			selected = SpatialSelect(ps, K)
-			degraded = true
-		}
-	}()
-	return algo.Select(ps, oracle, K), false
 }

@@ -62,7 +62,9 @@ func (d *accelerator) TrySubmit(nExtract, nDistance int, run func(i int)) error 
 
 // AsFallible adapts d to the Fallible contract. Devices that already
 // implement Fallible are returned unchanged; anything else is wrapped in
-// an adapter whose TrySubmit always succeeds.
+// an adapter whose TrySubmit reports the *Unavailable panic of a
+// fallible device d decorates (a plain-Device wrapper around a
+// ResilientDevice, say) as its error, and otherwise succeeds.
 func AsFallible(d Device) Fallible {
 	if f, ok := d.(Fallible); ok {
 		return f
@@ -73,7 +75,33 @@ func AsFallible(d Device) Fallible {
 // infallible adapts a plain Device to Fallible.
 type infallible struct{ Device }
 
-func (w infallible) TrySubmit(nExtract, nDistance int, run func(i int)) error {
+func (w infallible) TrySubmit(nExtract, nDistance int, run func(i int)) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			ua, ok := r.(*Unavailable)
+			if !ok {
+				panic(r)
+			}
+			err = ua
+		}
+	}()
 	w.Submit(nExtract, nDistance, run)
+	return nil
+}
+
+// FindResilient returns the outermost ResilientDevice in d's wrapper
+// chain, following Inner() through every wrapper that has one, or nil
+// when the chain has none.
+func FindResilient(d Device) *ResilientDevice {
+	for d != nil {
+		switch v := d.(type) {
+		case *ResilientDevice:
+			return v
+		case interface{ Inner() Fallible }:
+			d = v.Inner()
+		default:
+			return nil
+		}
+	}
 	return nil
 }

@@ -313,6 +313,7 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 		view:       view,
 		hist:       hist,
 		pendingOps: pending,
+		runWindows: core.RunWindows,
 	}
 	for _, r := range st.Results {
 		in.results = append(in.results, fromRecord(r))

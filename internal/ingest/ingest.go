@@ -55,11 +55,12 @@ type Config struct {
 	// bounded-memory view, manifest-referencing checkpoints, and AsOf
 	// time-travel queries. See HistoryConfig.
 	History *HistoryConfig
-	// Workers bounds the worker pool used when one push (or Close)
-	// closes several windows at once — a stream gap jumping multiple
-	// window boundaries, or a long tail flushed by Close. 0 selects
-	// runtime.NumCPU(), 1 processes windows strictly sequentially;
-	// every setting produces bit-identical results (DESIGN.md §10).
+	// Workers bounds the window engine's worker pool when one push (or
+	// Close) closes several windows at once — a stream gap jumping
+	// multiple window boundaries, or a long tail flushed by Close. 0
+	// selects runtime.NumCPU(), 1 speculates every window on the calling
+	// goroutine; every setting produces bit-identical results
+	// (DESIGN.md §10).
 	// Windows are always fully processed before the push returns, so
 	// checkpoints never observe in-flight window state regardless of
 	// Workers. Negative values are rejected by Validate.
@@ -106,9 +107,9 @@ type WindowResult struct {
 	Selected []video.PairKey
 	Merged   []video.PairKey // selected pairs that passed inspection
 	// Degraded reports that the ReID device was unavailable while this
-	// window was selected and Selected was ranked by the spatial prior
-	// alone (see core.SelectWithFallback). The stream keeps flowing; the
-	// next window retries the oracle path.
+	// window was certified and Selected was ranked by the spatial prior
+	// alone (see core.RunWindows). The stream keeps flowing; the next
+	// window retries the oracle path.
 	Degraded bool
 	// Quarantined counts detections (and frame-level rejects) quarantined
 	// since the previous window closed.
@@ -173,6 +174,10 @@ type Ingestor struct {
 	// the re-Subscribe that claims them by name.
 	pendingOps map[string]query.OperatorState
 
+	// runWindows is core.RunWindows; the equivalence tests install a
+	// sequential reference here.
+	runWindows core.WindowRunner
+
 	windowsSinceCkpt int
 	// ckptCompactions is hist's compaction count at the last sealed
 	// checkpoint; a newer compaction forces the next auto-checkpoint
@@ -194,11 +199,12 @@ func New(engine *track.Engine, oracle *reid.Oracle, cfg Config) (*Ingestor, erro
 		return nil, err
 	}
 	in := &Ingestor{
-		cfg:    cfg,
-		stream: engine.NewStream(),
-		oracle: oracle,
-		merger: core.NewMerger(),
-		quar:   newQuarantine(cfg.QuarantineCap),
+		cfg:        cfg,
+		stream:     engine.NewStream(),
+		oracle:     oracle,
+		merger:     core.NewMerger(),
+		quar:       newQuarantine(cfg.QuarantineCap),
+		runWindows: core.RunWindows,
 	}
 	if cfg.History != nil {
 		h, err := newHistory(cfg)
@@ -348,121 +354,73 @@ func (in *Ingestor) windowTracks(w video.Window) []*video.Track {
 }
 
 // processWindows runs the batch of windows one push (or Close) just
-// closed. The usual batch size is one; gaps that jump several window
-// boundaries and the Close flush can close more, and those batches run
-// on the parallel window executor when cfg.Workers allows (selection is
-// speculated concurrently, then certified against the real oracle in
-// canonical window order — see core.SpeculateSelection). Both paths are
-// bit-identical; all windows are fully committed before this returns,
-// so a checkpoint taken afterwards never captures in-flight state.
+// closed through the window engine (core.RunWindows). The usual batch
+// size is one; gaps that jump several window boundaries and the Close
+// flush can close more, and those batches speculate selection on up to
+// cfg.Workers goroutines. Every window is fully committed before this
+// returns, so a checkpoint taken afterwards never captures in-flight
+// state.
 func (in *Ingestor) processWindows(ws []video.Window) []WindowResult {
 	if len(ws) == 0 {
 		return nil
 	}
 
-	// Window inputs are prepared sequentially either way: the Tc /
-	// previous-Tc chain and the quarantine-delta attribution are
-	// inherently ordered.
-	type windowInput struct {
-		w           video.Window
-		ps          *video.PairSet
-		quarantined int
-	}
-	inputs := make([]windowInput, len(ws))
+	// Window inputs are prepared sequentially: the Tc / previous-Tc chain
+	// and the quarantine-delta attribution are inherently ordered.
+	out := make([]WindowResult, len(ws))
+	pairSets := make([]*video.PairSet, len(ws))
 	for i, w := range ws {
 		cur := in.windowTracks(w)
 		total := in.quar.totalCount()
-		inputs[i] = windowInput{
-			w:           w,
-			ps:          video.BuildPairSet(w, cur, in.prevTc),
-			quarantined: total - in.quarMark,
-		}
+		pairSets[i] = video.BuildPairSet(w, cur, in.prevTc)
+		out[i] = WindowResult{Window: w, Pairs: pairSets[i].Len(), Quarantined: total - in.quarMark}
 		in.quarMark = total
 		in.prevTc = cur
 	}
 
-	commit := func(i int, selected []video.PairKey, degraded bool) WindowResult {
-		wi := inputs[i]
-		res := WindowResult{Window: wi.w, Pairs: wi.ps.Len(), Quarantined: wi.quarantined}
-		seq := in.merger.EventCount()
-		if wi.ps.Len() > 0 {
-			res.Selected, res.Degraded = selected, degraded
-			for _, key := range res.Selected {
-				if in.cfg.Inspect != nil && !in.cfg.Inspect(wi.ps.Get(key)) {
-					continue
-				}
-				in.merger.Merge(key)
-				res.Merged = append(res.Merged, key)
-			}
-		}
-		res.Events = in.merger.EventsSince(seq)
-		if len(res.Events) == 0 {
-			// Normalise event-free windows to a nil slice: EventsSince
-			// aliases the retained log, whose nil-ness depends on whether
-			// TrimEvents has dropped a sealed prefix — window results must
-			// not expose that difference.
-			res.Events = nil
-		}
-		switch {
-		case in.hist != nil:
-			h := in.hist
-			h.beginWindow()
-			in.feedBoxes(wi.w.End)
-			if err := h.tier.ApplyEvents(res.Events); err != nil {
-				// Unlike the plain view below, the tiered view can fail on
-				// I/O (cold-store paging during rehydration); that degrades
-				// the session instead of crashing it.
-				h.fail(err)
-			}
-			changed, removed := h.tier.Flush()
-			for _, s := range in.subs {
-				res.Queries = append(res.Queries, QueryDeltas{Name: s.name, Deltas: s.op.Apply(h.tier, changed, removed)})
-			}
-			h.commitWindow(in.merger, wi.w, res.Events)
-		case in.view != nil:
-			in.feedBoxes(wi.w.End)
-			if err := in.view.ApplyEvents(res.Events); err != nil {
-				// Every merged track starts in this window's first half, so
-				// the feed above has shown the view both sides of every
-				// event; a failure here is a broken invariant, not input.
-				panic(fmt.Sprintf("ingest: live view diverged from merger: %v", err))
-			}
-			changed, removed := in.view.Flush()
-			for _, s := range in.subs {
-				res.Queries = append(res.Queries, QueryDeltas{Name: s.name, Deltas: s.op.Apply(in.view, changed, removed)})
-			}
-		}
-		in.results = append(in.results, res)
-		return res
-	}
-
-	out := make([]WindowResult, len(ws))
-	if workers := core.EffectiveWorkers(in.cfg.Workers); workers > 1 && len(ws) > 1 {
-		store := reid.NewFeatureStore()
-		core.ForEachOrderedBatch(len(inputs), workers,
-			func(i int) *core.WindowSelection {
-				if inputs[i].ps.Len() == 0 {
-					return nil
-				}
-				return core.SpeculateSelection(in.cfg.Algorithm, inputs[i].ps, in.oracle, store, in.cfg.K)
-			},
-			func(start int, sels []*core.WindowSelection) {
-				selected, degraded := core.CommitSelections(in.oracle, store, sels)
-				for k := range sels {
-					out[start+k] = commit(start+k, selected[k], degraded[k])
-				}
-			})
-	} else {
-		for i := range inputs {
-			var selected []video.PairKey
-			var degraded bool
-			if inputs[i].ps.Len() > 0 {
-				selected, degraded = core.SelectWithFallback(in.cfg.Algorithm, inputs[i].ps, in.oracle, in.cfg.K)
-			}
-			out[i] = commit(i, selected, degraded)
-		}
-	}
+	in.runWindows(in.cfg.Algorithm, in.cfg.K, in.oracle, in.merger, in.cfg.Inspect, in.cfg.Workers, len(ws),
+		func(i int) *video.PairSet { return pairSets[i] },
+		func(i int, w core.WindowOutcome) {
+			res := &out[i]
+			res.Selected, res.Merged, res.Degraded, res.Events = w.Selected, w.Merged, w.Degraded, w.Events
+			in.commitWindow(res)
+			in.results = append(in.results, *res)
+		})
 	return out
+}
+
+// commitWindow advances the session's view (plain or tiered) and its
+// subscriptions past one merged window, filling res.Queries.
+func (in *Ingestor) commitWindow(res *WindowResult) {
+	switch {
+	case in.hist != nil:
+		h := in.hist
+		h.beginWindow()
+		in.feedBoxes(res.Window.End)
+		if err := h.tier.ApplyEvents(res.Events); err != nil {
+			// Unlike the plain view below, the tiered view can fail on
+			// I/O (cold-store paging during rehydration); that degrades
+			// the session instead of crashing it.
+			h.fail(err)
+		}
+		changed, removed := h.tier.Flush()
+		for _, s := range in.subs {
+			res.Queries = append(res.Queries, QueryDeltas{Name: s.name, Deltas: s.op.Apply(h.tier, changed, removed)})
+		}
+		h.commitWindow(in.merger, res.Window, res.Events)
+	case in.view != nil:
+		in.feedBoxes(res.Window.End)
+		if err := in.view.ApplyEvents(res.Events); err != nil {
+			// Every merged track starts in this window's first half, so
+			// the feed above has shown the view both sides of every
+			// event; a failure here is a broken invariant, not input.
+			panic(fmt.Sprintf("ingest: live view diverged from merger: %v", err))
+		}
+		changed, removed := in.view.Flush()
+		for _, s := range in.subs {
+			res.Queries = append(res.Queries, QueryDeltas{Name: s.name, Deltas: s.op.Apply(in.view, changed, removed)})
+		}
+	}
 }
 
 // Subscribe registers an incremental query operator under a unique name.

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/tmerge/tmerge/internal/core"
@@ -31,8 +32,8 @@ func TestIngestorSurvivesMidStreamOutage(t *testing.T) {
 		return Config{WindowLen: 1000, K: 0.05, Algorithm: core.NewTMerge(tc)}
 	}
 
-	// Fault-free reference.
-	ref, err := New(track.Tracktor(),
+	// Fault-free sequential reference.
+	ref, err := newReference(track.Tracktor(),
 		reid.NewOracle(reid.NewModel(7, dataset.AppearanceDim), device.NewCPU(device.DefaultCPU)),
 		newCfg())
 	if err != nil {
@@ -43,29 +44,41 @@ func TestIngestorSurvivesMidStreamOutage(t *testing.T) {
 	}
 	ref.Close()
 
-	// Faulty run: same model over a crashable device behind the resilient
-	// wrapper. Zero cooldown: the breaker probes again on the very next
+	// Faulty runs: same model over a crashable device behind the
+	// resilient wrapper, on the window engine and on the sequential
+	// reference. Zero cooldown: the breaker probes again on the very next
 	// submission, so recovery is immediate once the device is back.
-	flaky := fault.NewFlaky(device.NewCPU(device.DefaultCPU), fault.Config{})
-	rd := device.NewResilientDevice(flaky,
-		device.RetryPolicy{MaxAttempts: 3, Jitter: -1},
-		device.BreakerConfig{Threshold: 3, Cooldown: -1, CooldownRejections: -1},
-		13)
-	oracle := reid.NewOracle(reid.NewModel(7, dataset.AppearanceDim), rd)
-	in, err := New(track.Tracktor(), oracle, newCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f, dets := range v.Detections {
-		if f == 1400 {
-			flaky.Crash()
+	faultyRun := func(newSession func(*track.Engine, *reid.Oracle, Config) (*Ingestor, error)) (*Ingestor, *fault.Flaky, *device.ResilientDevice) {
+		flaky := fault.NewFlaky(device.NewCPU(device.DefaultCPU), fault.Config{})
+		rd := device.NewResilientDevice(flaky,
+			device.RetryPolicy{MaxAttempts: 3, Jitter: -1},
+			device.BreakerConfig{Threshold: 3, Cooldown: -1, CooldownRejections: -1},
+			13)
+		oracle := reid.NewOracle(reid.NewModel(7, dataset.AppearanceDim), rd)
+		in, err := newSession(track.Tracktor(), oracle, newCfg())
+		if err != nil {
+			t.Fatal(err)
 		}
-		if f == 1600 {
-			flaky.Restore()
+		for f, dets := range v.Detections {
+			if f == 1400 {
+				flaky.Crash()
+			}
+			if f == 1600 {
+				flaky.Restore()
+			}
+			in.Push(dets)
 		}
-		in.Push(dets)
+		in.Close()
+		return in, flaky, rd
 	}
-	in.Close()
+	in, flaky, rd := faultyRun(New)
+	seq, seqFlaky, seqRD := faultyRun(newReference)
+	if !reflect.DeepEqual(in.Results(), seq.Results()) ||
+		in.Oracle().Stats() != seq.Oracle().Stats() ||
+		rd.Counters() != seqRD.Counters() || flaky.Counters() != seqFlaky.Counters() {
+		t.Errorf("faulty stream diverged from the sequential reference: stats %+v vs %+v, resilience %+v vs %+v",
+			in.Oracle().Stats(), seq.Oracle().Stats(), rd.Counters(), seqRD.Counters())
+	}
 
 	got, want := in.Results(), ref.Results()
 	if len(got) != len(want) {

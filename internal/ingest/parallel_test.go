@@ -9,6 +9,7 @@ import (
 	"github.com/tmerge/tmerge/internal/dataset"
 	"github.com/tmerge/tmerge/internal/device"
 	"github.com/tmerge/tmerge/internal/fault"
+	"github.com/tmerge/tmerge/internal/motmetrics"
 	"github.com/tmerge/tmerge/internal/reid"
 	"github.com/tmerge/tmerge/internal/synth"
 	"github.com/tmerge/tmerge/internal/track"
@@ -25,11 +26,39 @@ type streamOutcome struct {
 	checkpoint []byte
 }
 
-// driveStream runs one full ingestion over the scene with the given
-// worker count: a normal prefix, then a gap jumping several window
-// boundaries at once (so one PushAt closes a multi-window batch — the
-// path the parallel executor actually takes), then a Close flush.
-func driveStream(t *testing.T, v *synth.Video, workers int, faulty bool) streamOutcome {
+// streamAlgorithms is the ingest equivalence suite's algorithm matrix:
+// every selection algorithm, seeded where the algorithm is randomised.
+func streamAlgorithms() []struct {
+	name string
+	mk   func() core.Algorithm
+} {
+	tmerge := func(batch int) func() core.Algorithm {
+		return func() core.Algorithm {
+			cfg := core.DefaultTMergeConfig(5)
+			cfg.TauMax = 1200
+			cfg.Batch = batch
+			return core.NewTMerge(cfg)
+		}
+	}
+	return []struct {
+		name string
+		mk   func() core.Algorithm
+	}{
+		{"TMerge", tmerge(0)},
+		{"TMerge-B", tmerge(16)},
+		{"BL", func() core.Algorithm { return core.NewBaselineB(1 << 16) }},
+		{"PS", func() core.Algorithm { return core.NewPS(0.3, 5) }},
+		{"LCB", func() core.Algorithm { return core.NewLCB(1200, 5) }},
+	}
+}
+
+// driveStream runs one full ingestion over the scene: a normal prefix,
+// then a gap jumping several window boundaries at once (so one PushAt
+// closes a multi-window batch — the path the worker pool actually
+// takes), then a Close flush. reference runs the session's windows on
+// the sequential reference instead of the window engine; workers is
+// then irrelevant.
+func driveStream(t *testing.T, v *synth.Video, algo core.Algorithm, workers int, faulty, reference bool) streamOutcome {
 	t.Helper()
 	var dev device.Device = device.NewCPU(device.DefaultCPU)
 	if faulty {
@@ -42,14 +71,22 @@ func driveStream(t *testing.T, v *synth.Video, workers int, faulty bool) streamO
 			11)
 	}
 	oracle := reid.NewOracle(reid.NewModel(7, dataset.AppearanceDim), dev)
-	tcfg := core.DefaultTMergeConfig(5)
-	tcfg.TauMax = 1200
-	in, err := New(track.Tracktor(), oracle, Config{
+	cfg := Config{
 		WindowLen: 400,
 		K:         0.05,
-		Algorithm: core.NewTMerge(tcfg),
+		Algorithm: algo,
 		Workers:   workers,
-	})
+	}
+	if !faulty {
+		// The clean runs also exercise the inspection path, with the
+		// ground truth as inspector.
+		cfg.Inspect = motmetrics.Polyonymous
+	}
+	newSession := New
+	if reference {
+		newSession = newReference
+	}
+	in, err := newSession(track.Tracktor(), oracle, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,8 +115,10 @@ func driveStream(t *testing.T, v *synth.Video, workers int, faulty bool) streamO
 }
 
 // TestIngestParallelEquivalence: the streaming path must be bit-identical
-// across worker counts — window results, quarantine ledger, oracle
-// stats/cache, merged tracks, and the serialised checkpoint.
+// to the sequential reference at every worker count, for every
+// algorithm, with and without a scripted outage — window results,
+// quarantine ledger, oracle stats/cache, merged tracks, and the
+// serialised checkpoint.
 func TestIngestParallelEquivalence(t *testing.T) {
 	v := streamScene(t)
 	for _, faulty := range []bool{false, true} {
@@ -88,28 +127,42 @@ func TestIngestParallelEquivalence(t *testing.T) {
 			name = "faulty"
 		}
 		t.Run(name, func(t *testing.T) {
-			ref := driveStream(t, v, 1, faulty)
-			if n := len(ref.results); n < 8 {
-				t.Fatalf("reference run closed %d windows; the scene should close at least 8", n)
-			}
-			for _, workers := range []int{2, 4} {
-				got := driveStream(t, v, workers, faulty)
-				if !reflect.DeepEqual(ref.results, got.results) {
-					t.Errorf("Workers=%d: window results diverged", workers)
-				}
-				if !reflect.DeepEqual(ref.quarantine, got.quarantine) {
-					t.Errorf("Workers=%d: quarantine ledger diverged", workers)
-				}
-				if !reflect.DeepEqual(ref.oracle, got.oracle) {
-					t.Errorf("Workers=%d: oracle state diverged: ref stats %+v, got %+v",
-						workers, ref.oracle.Stats, got.oracle.Stats)
-				}
-				if !reflect.DeepEqual(ref.merged, got.merged) {
-					t.Errorf("Workers=%d: merged track set diverged", workers)
-				}
-				if !bytes.Equal(ref.checkpoint, got.checkpoint) {
-					t.Errorf("Workers=%d: checkpoint bytes diverged", workers)
-				}
+			for _, sa := range streamAlgorithms() {
+				t.Run(sa.name, func(t *testing.T) {
+					t.Parallel()
+					ref := driveStream(t, v, sa.mk(), 1, faulty, true)
+					if n := len(ref.results); n < 8 {
+						t.Fatalf("reference run closed %d windows; the scene should close at least 8", n)
+					}
+					degraded := 0
+					for _, r := range ref.results {
+						if r.Degraded {
+							degraded++
+						}
+					}
+					if faulty != (degraded > 0) {
+						t.Fatalf("reference run degraded %d windows; want some exactly when faulty (%v)", degraded, faulty)
+					}
+					for _, workers := range []int{1, 2, 4} {
+						got := driveStream(t, v, sa.mk(), workers, faulty, false)
+						if !reflect.DeepEqual(ref.results, got.results) {
+							t.Errorf("Workers=%d: window results diverged from the sequential reference", workers)
+						}
+						if !reflect.DeepEqual(ref.quarantine, got.quarantine) {
+							t.Errorf("Workers=%d: quarantine ledger diverged", workers)
+						}
+						if !reflect.DeepEqual(ref.oracle, got.oracle) {
+							t.Errorf("Workers=%d: oracle state diverged: ref stats %+v, got %+v",
+								workers, ref.oracle.Stats, got.oracle.Stats)
+						}
+						if !reflect.DeepEqual(ref.merged, got.merged) {
+							t.Errorf("Workers=%d: merged track set diverged", workers)
+						}
+						if !bytes.Equal(ref.checkpoint, got.checkpoint) {
+							t.Errorf("Workers=%d: checkpoint bytes diverged", workers)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -3,7 +3,6 @@ package ingest
 import (
 	"github.com/tmerge/tmerge/internal/core"
 	"github.com/tmerge/tmerge/internal/device"
-	"github.com/tmerge/tmerge/internal/fault"
 )
 
 // Result assembles the session's cumulative outcome as a
@@ -40,16 +39,8 @@ func (in *Ingestor) Result() *core.PipelineResult {
 	res.Merged = in.MergedTracks()
 	res.Stats = in.oracle.Stats()
 	res.Virtual = in.oracle.Device().Clock().Elapsed()
-	for d := in.oracle.Device(); d != nil; {
-		switch v := d.(type) {
-		case *device.ResilientDevice:
-			res.Resilience = v.Counters()
-			d = v.Inner()
-		case *fault.Flaky:
-			d = v.Inner()
-		default:
-			d = nil
-		}
+	if rd := device.FindResilient(in.oracle.Device()); rd != nil {
+		res.Resilience = rd.Counters()
 	}
 	return res
 }

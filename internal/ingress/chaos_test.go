@@ -128,23 +128,7 @@ func TestNetworkChaosKillRestart(t *testing.T) {
 			}
 			if err := c.Flush(context.Background()); err != nil {
 				errs[i] = fmt.Errorf("final flush: %w", err)
-				return
 			}
-			// Status is single-attempt by contract (monitoring, not
-			// delivery), so the retry against the faulty proxy lives
-			// here.
-			var st StreamStatus
-			var err error
-			for attempt := 0; attempt < 16; attempt++ {
-				if st, err = c.Status(context.Background()); err == nil {
-					break
-				}
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("status: %w", err)
-				return
-			}
-			statuses[i] = st
 		}(i)
 	}
 
@@ -175,6 +159,20 @@ func TestNetworkChaosKillRestart(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream %s: %v", streams[i].ID, err)
 		}
+	}
+	// A flush ack means queued, not processed: wait until each stream's
+	// queue has drained before reading its cursor. Status is
+	// single-attempt by contract (monitoring, not delivery), so a poll
+	// that hits a proxy fault simply polls again.
+	for i, c := range clients {
+		waitFor(t, func() bool {
+			st, err := c.Status(context.Background())
+			if err != nil {
+				return false
+			}
+			statuses[i] = st
+			return st.Queued == 0
+		}, "stream "+streams[i].ID+" to drain its queue")
 	}
 
 	// High-water-mark assertions: one record per frame means seq==frame,

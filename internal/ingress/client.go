@@ -229,7 +229,10 @@ func (c *Client) Push(ctx context.Context, frame video.FrameIndex, dets []video.
 }
 
 // Flush sends every unacknowledged record, retrying until the server's
-// high-water mark covers them (or attempts are exhausted).
+// high-water mark covers them (or attempts are exhausted). An ack means
+// the records are queued on the server, not processed: a Status read
+// right after Flush can still show them in Queued and not yet in
+// Frames.
 func (c *Client) Flush(ctx context.Context) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -39,13 +39,19 @@ func TrackObject(t *video.Track) video.ObjectID {
 func PolyonymousPairs(ps *video.PairSet) map[video.PairKey]bool {
 	out := make(map[video.PairKey]bool)
 	for _, p := range ps.Pairs {
-		oi := TrackObject(p.TI)
-		oj := TrackObject(p.TJ)
-		if oi >= 0 && oi == oj {
+		if Polyonymous(p) {
 			out[p.Key] = true
 		}
 	}
 	return out
+}
+
+// Polyonymous reports whether both tracks of p are attributed to the
+// same GT object — membership in P*c. It is the ground-truth inspector
+// of the paper's verification workflow.
+func Polyonymous(p *video.Pair) bool {
+	oi := TrackObject(p.TI)
+	return oi >= 0 && oi == TrackObject(p.TJ)
 }
 
 // PolyonymousRate returns |P*c| / |Pc| (§V-G). Zero for an empty universe.

@@ -51,9 +51,12 @@ type Oracle struct {
 	// appended to rec instead of charging the real device. arena is the
 	// flat backing for the records' box-ID slices — one growing buffer
 	// per session instead of one small allocation per submission.
-	store *FeatureStore
-	rec   []SubmissionRecord
-	arena []video.BBoxID
+	// parent, set on sessions of a caching oracle, is the oracle whose
+	// canonical cache a store miss reads through to.
+	store  *FeatureStore
+	rec    []SubmissionRecord
+	arena  []video.BBoxID
+	parent *Oracle
 }
 
 // NewOracle returns an oracle executing on dev with caching enabled.

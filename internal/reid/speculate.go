@@ -34,14 +34,10 @@ type FeatureStore struct {
 	shards [featureShards]featureShard
 }
 
-// NewFeatureStore returns an empty store.
-func NewFeatureStore() *FeatureStore {
-	s := &FeatureStore{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[video.BBoxID]vecmath.Vec)
-	}
-	return s
-}
+// NewFeatureStore returns an empty store. Shard maps are made on their
+// first Put: a store lives for one window-engine run, often one window
+// touching few shards.
+func NewFeatureStore() *FeatureStore { return &FeatureStore{} }
 
 func (s *FeatureStore) shard(id video.BBoxID) *featureShard {
 	return &s.shards[uint64(id)%featureShards]
@@ -61,6 +57,9 @@ func (s *FeatureStore) Get(id video.BBoxID) (vecmath.Vec, bool) {
 func (s *FeatureStore) Put(id video.BBoxID, v vecmath.Vec) {
 	sh := s.shard(id)
 	sh.mu.Lock()
+	if sh.m == nil {
+		sh.m = make(map[video.BBoxID]vecmath.Vec)
+	}
 	sh.m[id] = v
 	sh.mu.Unlock()
 }
@@ -79,11 +78,11 @@ func (s *FeatureStore) Len() int {
 
 // SubmissionRecord is one planned oracle submission captured by a
 // speculative session: the distinct boxes the submission referenced (by
-// identity — the embeddings live in the shared FeatureStore), in
-// plan-encounter order, and the number of distance computations it
-// charges. Which of the boxes become feature extractions is NOT recorded
-// — it depends on the cache state at execution time, which only the
-// canonical replay (Oracle.ReplayLog) knows.
+// identity — the embeddings live in the shared FeatureStore or the
+// canonical cache), in plan-encounter order, and the number of distance
+// computations it charges. Which of the boxes become feature extractions
+// is NOT recorded — it depends on the cache state at execution time,
+// which only the canonical replay (Oracle.ReplayBatch) knows.
 type SubmissionRecord struct {
 	// Boxes are the submission's distinct referenced box IDs in
 	// plan-encounter order (first reference wins; later references to the
@@ -102,10 +101,10 @@ type SubmissionRecord struct {
 // deterministic), but no device time is charged, no faults can fire, and
 // no shared stats or cache entries are touched: embeddings go to the
 // shared FeatureStore and every would-be device submission is appended
-// to the session's log. Replaying the log with Oracle.ReplayLog against
-// the real oracle, in canonical window order, then commits exactly the
-// stats, cache entries, virtual time, and fault-path activity the
-// sequential execution would have produced.
+// to the session's log. Replaying the log with Oracle.ReplayBatch
+// against the real oracle, in canonical window order, then commits
+// exactly the stats, cache entries, virtual time, and fault-path
+// activity the sequential execution would have produced.
 //
 // A Session is not safe for concurrent use; create one per window (the
 // FeatureStore behind them may be shared freely).
@@ -117,7 +116,11 @@ type Session struct {
 // shared through store. The session inherits the oracle's model and
 // cache-enablement; its device is a zero-cost local executor, so the
 // embedding forward passes (the real CPU work) run on the calling
-// goroutine.
+// goroutine. When caching is enabled, a box missing from store is
+// looked up in the oracle's canonical cache before it is embedded, so a
+// fresh store does not re-embed what earlier windows already cached.
+// Embeddings are pure, so the read-through changes no value; it only
+// saves forward passes.
 func (o *Oracle) Speculate(store *FeatureStore) *Session {
 	if store == nil {
 		panic("reid: Speculate with nil store")
@@ -125,12 +128,29 @@ func (o *Oracle) Speculate(store *FeatureStore) *Session {
 	o.mu.Lock()
 	ce := o.cacheEnabled
 	o.mu.Unlock()
-	return &Session{o: &Oracle{
+	sess := &Oracle{
 		model:        o.model,
 		dev:          device.NewCPU(device.CostModel{}),
 		cacheEnabled: ce,
 		store:        store,
-	}}
+	}
+	if ce {
+		sess.parent = o
+	}
+	return &Session{o: sess}
+}
+
+// storedFeature looks a box up in a session's store, then in its
+// parent's canonical cache. The caller holds the session's mutex; the
+// parent's is taken here (sessions lock before parents, never the
+// reverse).
+func (o *Oracle) storedFeature(id video.BBoxID) (vecmath.Vec, bool) {
+	if f, ok := o.store.Get(id); ok || o.parent == nil {
+		return f, ok
+	}
+	o.parent.mu.Lock()
+	defer o.parent.mu.Unlock()
+	return o.parent.cache.get(id)
 }
 
 // Oracle returns the shadow oracle selection algorithms should query.
@@ -141,29 +161,6 @@ func (s *Session) Log() []SubmissionRecord {
 	s.o.mu.Lock()
 	defer s.o.mu.Unlock()
 	return s.o.rec
-}
-
-// ReplayLog replays a speculative session's submission log against the
-// real oracle: for each record, in order, it re-plans the submission
-// against the oracle's current cache (so cache hits, feature
-// extractions, and the device's virtual cost come out exactly as a
-// sequential execution's would), submits to the real device — faults,
-// retries, backoff, and breaker transitions all fire here, in canonical
-// submission order — and on success commits the stats delta and fresh
-// cache entries. Extraction results are copied from store, never
-// recomputed, so replay costs no model forward passes.
-//
-// The first failed submission aborts the replay with a *device.Unavailable
-// error (matching the panic an infallible Submit would have raised
-// mid-window); earlier records stay committed, exactly like a sequential
-// window that degraded partway through. A record referencing a box the
-// store has never seen reports a plain error: that is a programming bug,
-// not a device fault.
-func (o *Oracle) ReplayLog(log []SubmissionRecord, store *FeatureStore) error {
-	if len(log) == 0 {
-		return nil
-	}
-	return o.ReplayBatch([][]SubmissionRecord{log}, store)[0]
 }
 
 // replayNoop is the nil-op extraction body of replayed submissions: the
@@ -177,18 +174,22 @@ func replayNoop(int) {}
 // the committer hands every certified-in-order window currently in
 // flight to one call that shares the fallible-device lookup and the
 // planning scratch across all their records. Record semantics are
-// bit-identical to calling ReplayLog per window in the same order: each
-// record re-plans against the canonical cache under the oracle lock,
-// submits to the real device unlocked (faults, retries, backoff, and
-// breaker transitions fire here, in canonical submission order), and
-// commits stats and cache entries on success.
+// bit-identical to replaying each window alone in the same order: each
+// record re-plans against the canonical cache under the oracle lock (so
+// cache hits, feature extractions, and the device's virtual cost come
+// out exactly as a sequential execution's would), submits to the real
+// device unlocked (faults, retries, backoff, and breaker transitions
+// fire here, in canonical submission order), and commits stats and
+// cache entries on success. Extraction results are copied from store,
+// never recomputed, so replay costs no model forward passes.
 //
 // The returned slice has one entry per log: nil for a fully replayed
 // window, a *device.Unavailable for a window whose replay hit an
 // unavailable device (its remaining records are abandoned, committed
 // ones stay charged, and later windows' logs still replay — exactly like
 // consecutive sequential windows degrading independently), or a plain
-// error for a log referencing a box the store has never seen.
+// error for a log referencing a box that neither the canonical cache
+// nor the store holds.
 func (o *Oracle) ReplayBatch(logs [][]SubmissionRecord, store *FeatureStore) []error {
 	errs := make([]error, len(logs))
 	total := 0
@@ -200,7 +201,7 @@ func (o *Oracle) ReplayBatch(logs [][]SubmissionRecord, store *FeatureStore) []e
 	}
 	if store == nil {
 		for i := range errs {
-			errs[i] = fmt.Errorf("reid: ReplayLog with nil store")
+			errs[i] = fmt.Errorf("reid: ReplayBatch with nil store")
 		}
 		return errs
 	}

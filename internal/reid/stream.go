@@ -174,7 +174,7 @@ func (p *extractPlan) addBox(b video.BBox) {
 		// counts as a cache hit or an extraction is decided by the
 		// canonical replay, not by this speculative plan.
 		p.all = append(p.all, b.ID)
-		if f, ok := p.o.store.Get(b.ID); ok {
+		if f, ok := p.o.storedFeature(b.ID); ok {
 			p.local[b.ID] = f
 			return
 		}

@@ -8,7 +8,6 @@ import (
 
 	"github.com/tmerge/tmerge/internal/core"
 	"github.com/tmerge/tmerge/internal/device"
-	"github.com/tmerge/tmerge/internal/fault"
 	"github.com/tmerge/tmerge/internal/ingest"
 	"github.com/tmerge/tmerge/internal/trackdb"
 	"github.com/tmerge/tmerge/internal/video"
@@ -434,7 +433,7 @@ func (m *Manager) Snapshot() []StreamStatus {
 			ID:              s.id,
 			State:           s.state,
 			Frames:          s.frames,
-			Queued:          len(s.queue),
+			Queued:          len(s.queue) + s.turnLeft,
 			Windows:         s.windows,
 			DegradedWindows: s.degraded,
 			Restarts:        s.restarts,
@@ -447,16 +446,8 @@ func (m *Manager) Snapshot() []StreamStatus {
 		}
 		if s.ing != nil {
 			st.Quarantined = s.ing.Quarantine().TotalRejected
-			for d := s.ing.Oracle().Device(); d != nil; {
-				switch v := d.(type) {
-				case *device.ResilientDevice:
-					st.Breaker = v.State().String()
-					d = v.Inner()
-				case *fault.Flaky:
-					d = v.Inner()
-				default:
-					d = nil
-				}
+			if rd := device.FindResilient(s.ing.Oracle().Device()); rd != nil {
+				st.Breaker = rd.State().String()
 			}
 		}
 		out = append(out, st)

@@ -236,7 +236,9 @@ type StreamStatus struct {
 	State Health
 	// Frames is how many frames the stream cursor has passed.
 	Frames int
-	// Queued is how many pushed frames await processing.
+	// Queued is how many pushed frames await processing: the stream
+	// queue plus the frames a running turn has dequeued but not yet fed
+	// to the ingestor. Zero means every pushed frame is in Frames.
 	Queued int
 	// Windows counts committed windows; DegradedWindows counts those
 	// selected on the spatial prior during device unavailability.

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"github.com/tmerge/tmerge/internal/device"
-	"github.com/tmerge/tmerge/internal/fault"
 	"github.com/tmerge/tmerge/internal/ingest"
 	"github.com/tmerge/tmerge/internal/video"
 )
@@ -17,16 +16,8 @@ func retireDevice(in *ingest.Ingestor) {
 	if in == nil {
 		return
 	}
-	for d := in.Oracle().Device(); d != nil; {
-		switch v := d.(type) {
-		case *device.ResilientDevice:
-			_ = v.Close()
-			d = v.Inner()
-		case *fault.Flaky:
-			d = v.Inner()
-		default:
-			d = nil
-		}
+	if rd := device.FindResilient(in.Oracle().Device()); rd != nil {
+		_ = rd.Close()
 	}
 }
 
@@ -54,6 +45,7 @@ type stream struct {
 
 	state       Health
 	queue       []pushItem
+	turnLeft    int  // frames the active turn has dequeued but not yet pushed
 	scheduled   bool // queued in Manager.ready
 	active      bool // a goroutine is processing the stream
 	inputClosed bool
@@ -134,6 +126,7 @@ func (m *Manager) worker() {
 		copy(batch, s.queue[:n])
 		s.queue = append(s.queue[:0], s.queue[n:]...)
 		s.active = true
+		s.turnLeft = n
 		m.cond.Broadcast() // queue room freed: wake blocked pushes
 		m.mu.Unlock()
 
@@ -141,6 +134,7 @@ func (m *Manager) worker() {
 
 		m.mu.Lock()
 		s.active = false
+		s.turnLeft = 0
 		if err != nil {
 			// Fault isolation: this stream is quarantined for the
 			// supervisor; every other stream keeps flowing. Frames the
@@ -194,6 +188,7 @@ func (m *Manager) runTurn(s *stream, batch []pushItem) (rem []pushItem, err erro
 		m.observe(s, results, start)
 		m.mu.Lock()
 		s.frames = s.ing.FramesSeen()
+		s.turnLeft--
 		if len(results) > 0 {
 			s.noteHistoryLocked(s.ing)
 		}
@@ -274,6 +269,7 @@ func (m *Manager) supervisor() {
 
 		m.mu.Lock()
 		s.active = false
+		s.turnLeft = 0
 		if err != nil {
 			// Unrecoverable: stays quarantined with the error surfaced in
 			// the snapshot; Finish reports it.
