@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"github.com/tmerge/tmerge/internal/reid"
 	"github.com/tmerge/tmerge/internal/stats"
@@ -25,11 +24,6 @@ type TMergeConfig struct {
 	// UseULB enables confidence-bound pruning (Algorithm 4); disabled in
 	// the Figure 8 ablation.
 	UseULB bool
-	// ULBPeriod runs the pruning pass every ULBPeriod iterations. The
-	// paper runs it each iteration; 1 reproduces that. Larger values
-	// trade pruning promptness for bookkeeping time without changing
-	// which pairs may be pruned. Values < 1 default to 1.
-	ULBPeriod int
 	// ULBHoeffding selects the literal confidence radius of Algorithm 4,
 	// U = sqrt(2·lnτ/n), which treats distances as range-1 sub-Gaussian.
 	// That radius is far too conservative for ReID distances, whose
@@ -95,7 +89,6 @@ func DefaultTMergeConfig(seed uint64) TMergeConfig {
 		ThrS:        200,
 		UseBetaInit: true,
 		UseULB:      true,
-		ULBPeriod:   1,
 		Batch:       1,
 		Seed:        seed,
 	}
@@ -131,8 +124,10 @@ type TMerge struct {
 	// Select call and across Select calls. Every element is overwritten
 	// before use, so reuse cannot leak state between windows; the
 	// parallel executor clones TMerge per window (CloneAlgorithm), so no
-	// two concurrent Selects share these buffers.
-	ulbLB, ulbUB, ulbSortedLB, ulbSortedUB []float64
+	// two concurrent Selects share these buffers. ulbSelLB and ulbSelUB
+	// are copies of the bounds that the order-statistic selection
+	// reorders in place.
+	ulbLB, ulbUB, ulbSelLB, ulbSelUB []float64
 	// dists is the reused DistanceBatchInto output buffer of the
 	// per-round oracle call.
 	dists []float64
@@ -145,9 +140,6 @@ func NewTMerge(cfg TMergeConfig) *TMerge {
 	}
 	if cfg.Batch < 1 {
 		cfg.Batch = 1
-	}
-	if cfg.ULBPeriod < 1 {
-		cfg.ULBPeriod = 1
 	}
 	if cfg.PosteriorWeight <= 0 {
 		cfg.PosteriorWeight = 3
@@ -189,6 +181,10 @@ type pairState struct {
 	count   int     // n_{i,j}: times this pair has been sampled
 	sum     float64 // Σ d̃ over its samples
 	sumSq   float64 // Σ d̃² (for the variance-aware ULB radius)
+	// sd is σ̂, the observed standard deviation floored at minSD, kept
+	// current by observe so the ULB pass need not recompute it for every
+	// arm in every round.
+	sd float64
 	// priorMean and priorWeight are the prior pseudo-observations (from
 	// Be(1,1) or the BetaInit prior Be(1,2)), used by the
 	// Rao-Blackwellised ranking and the Gaussian-posterior variant.
@@ -228,6 +224,19 @@ func (s *pairState) variance() float64 {
 		return 0
 	}
 	return v
+}
+
+// observe folds one evaluated distance into the arm's running sums and
+// refreshes σ̂.
+func (s *pairState) observe(d float64) {
+	s.count++
+	s.sum += d
+	s.sumSq += d * d
+	s.sd = math.Sqrt(s.variance())
+	const minSD = 0.02
+	if s.sd < minSD {
+		s.sd = minSD
+	}
 }
 
 func (s *pairState) active() bool {
@@ -328,9 +337,7 @@ func (a *TMerge) Select(ps *video.PairSet, oracle *reid.Oracle, K float64) []vid
 		for k, idx := range chosen {
 			d := dists[k]
 			s := &arms[idx]
-			s.count++
-			s.sum += d
-			s.sumSq += d * d
+			s.observe(d)
 			if a.cfg.LiteralBernoulli {
 				s.beta = s.beta.Observe(bernRng.Bernoulli(d))
 			} else {
@@ -342,7 +349,7 @@ func (a *TMerge) Select(ps *video.PairSet, oracle *reid.Oracle, K float64) []vid
 		a.diag.Iterations = tau
 
 		// Line 14: ULB pruning (Algorithm 4).
-		if a.cfg.UseULB && (tau%(a.cfg.ULBPeriod*a.cfg.Batch) < a.cfg.Batch) {
+		if a.cfg.UseULB {
 			a.ulb(arms, tau, kCount)
 			if a.cfg.StopWhenSettled {
 				settled := 0
@@ -408,23 +415,35 @@ func insertCandidate(chosen *[]int, thetas *[]float64, idx int, theta float64) {
 	*chosen, *thetas = c, t
 }
 
-// ulb is Algorithm 4: using Hoeffding confidence intervals
-// [s̃' − U, s̃' + U] with U = sqrt(2·lnτ / n), prune pairs that are
-// confidently inside the top-kCount (they need no more sampling) or
-// confidently outside it. Counting comparisons against all other pairs is
-// done with sorted bound arrays and binary search, making the pass
-// O(n log n) instead of the naive O(n²).
+// ulb is Algorithm 4: using confidence intervals [s̃' − U, s̃' + U]
+// (see radius), prune pairs that are confidently inside the top-kCount
+// (they need no more sampling) or confidently outside it.
+//
+// Counting comparisons against all other pairs needs only two order
+// statistics of the bounds, not the bounds sorted. With k = kCount and
+// SL, SU the lower and upper bounds sorted ascending, NaN first:
+//
+//   - at most k−1 other pairs could still beat pair i (#{LB < UB_i} − 1
+//     ≤ k − 1, the −1 excluding pair i itself) exactly when k ≥ n or
+//     SL[k] ≥ UB_i;
+//   - at least k pairs are confidently better than pair i
+//     (#{UB < LB_i} ≥ k) exactly when not SU[k−1] ≥ LB_i.
+//
+// Both follow from #{x < v} ≤ k ⟺ sorted[k] ≥ v. The two order
+// statistics come from an O(n) selection, so each pass is O(n) instead
+// of the O(n log n) of sorting both bound arrays.
 func (a *TMerge) ulb(arms []pairState, tau, kCount int) {
 	n := len(arms)
-	// The four bound arrays are scratch reused across pruning passes and
+	// The bound arrays are scratch reused across pruning passes and
 	// Select calls (this pass used to allocate them every iteration —
 	// the single largest allocation site of the whole pipeline). Every
 	// element is written below before any read.
 	lbs := sizeScratch(&a.ulbLB, n)
 	ubs := sizeScratch(&a.ulbUB, n)
+	logTau := math.Log(float64(max(tau, 2)))
 	for i := range arms {
 		s := &arms[i]
-		u := a.radius(s, tau)
+		u := a.radius(s, logTau)
 		if math.IsInf(u, 1) {
 			lbs[i] = math.Inf(-1)
 			ubs[i] = math.Inf(1)
@@ -434,39 +453,42 @@ func (a *TMerge) ulb(arms []pairState, tau, kCount int) {
 		lbs[i] = m - u
 		ubs[i] = m + u
 	}
-	sortedLB := sizeScratch(&a.ulbSortedLB, n)
-	sortedUB := sizeScratch(&a.ulbSortedUB, n)
-	copy(sortedLB, lbs)
-	copy(sortedUB, ubs)
-	sort.Float64s(sortedLB)
-	sort.Float64s(sortedUB)
+	// inBound = SL[k] and outBound = SU[k−1]. Their edge values make the
+	// comparisons below degenerate correctly: with k ≥ n every sampled
+	// arm is in; with k = 0 every arm not in is out (NaN ≥ x is false).
+	inBound, outBound := math.NaN(), math.NaN()
+	if kCount < n {
+		sel := sizeScratch(&a.ulbSelLB, n)
+		copy(sel, lbs)
+		inBound = kthFloat(sel, kCount)
+	}
+	if kCount > 0 {
+		sel := sizeScratch(&a.ulbSelUB, n)
+		copy(sel, ubs)
+		outBound = kthFloat(sel, kCount-1)
+	}
 
 	for i := range arms {
 		s := &arms[i]
 		if !s.active() || s.count == 0 {
 			continue
 		}
-		// below(x, sorted) = #values strictly less than x.
-		// Pairs that might still beat pair i: those with LB < UB_i.
-		// LB_i < UB_i always, so exclude self.
-		couldBeat := countLess(sortedLB, ubs[i]) - 1
-		if couldBeat <= kCount-1 {
+		if kCount >= n || inBound >= ubs[i] {
 			s.prunedIn = true
 			continue
 		}
-		// Pairs confidently better than pair i: those with UB < LB_i.
-		confidentlyBetter := countLess(sortedUB, lbs[i])
-		if confidentlyBetter >= kCount {
+		if !(outBound >= lbs[i]) {
 			s.prunedOut = true
 		}
 	}
 }
 
 // radius returns the confidence radius of a pair's score estimate at
-// iteration tau. Drained pairs (every BBox pair evaluated) have an exact
-// score and radius 0. Unsampled pairs (and, in variance-aware mode, pairs
-// with too few samples for a variance estimate) have radius +Inf.
-func (a *TMerge) radius(s *pairState, tau int) float64 {
+// iteration tau, given logTau = ln(max(tau, 2)). Drained pairs (every
+// BBox pair evaluated) have an exact score and radius 0. Unsampled pairs
+// (and, in variance-aware mode, pairs with too few samples for a
+// variance estimate) have radius +Inf.
+func (a *TMerge) radius(s *pairState, logTau float64) float64 {
 	if s.sampler.Exhausted() {
 		return 0
 	}
@@ -474,7 +496,9 @@ func (a *TMerge) radius(s *pairState, tau int) float64 {
 		return math.Inf(1)
 	}
 	if a.cfg.ULBHoeffding {
-		return stats.HoeffdingRadius(tau, s.count)
+		// stats.HoeffdingRadius with the logarithm hoisted out of the
+		// per-arm loop.
+		return math.Sqrt(2 * logTau / float64(s.count))
 	}
 	const minSamples = 8
 	if s.count < minSamples {
@@ -483,20 +507,7 @@ func (a *TMerge) radius(s *pairState, tau int) float64 {
 	// Empirical-Bernstein-style radius: the Hoeffding exponent with the
 	// observed standard deviation in place of the worst-case range, plus
 	// a 1/n correction guarding small-sample variance underestimates.
-	sd := math.Sqrt(s.variance())
-	const minSD = 0.02
-	if sd < minSD {
-		sd = minSD
-	}
-	logTau := math.Log(float64(max2(tau, 2)))
-	return sd*math.Sqrt(2*logTau/float64(s.count)) + 0.5/float64(s.count)
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	return s.sd*math.Sqrt(2*logTau/float64(s.count)) + 0.5/float64(s.count)
 }
 
 // sizeScratch resizes *buf to exactly n elements, growing the backing
@@ -510,9 +521,61 @@ func sizeScratch(buf *[]float64, n int) []float64 {
 	return *buf
 }
 
-// countLess returns the number of elements of sorted that are < x.
-func countLess(sorted []float64, x float64) int {
-	return sort.SearchFloat64s(sorted, x)
+// floatLess is the order the sort package sorts float64 slices by: NaN
+// before every number, otherwise <, so -0 and +0 compare equal.
+func floatLess(x, y float64) bool {
+	return x < y || (x != x && y == y)
+}
+
+// kthFloat returns an element that compares equal (under floatLess) to
+// the one sorting x ascending would place at index k, reordering x in
+// place. It is an iterative quickselect with median-of-three pivots and
+// three-way partitioning, so runs of equal values — the ±Inf bounds of
+// arms with too few samples — are settled in one pass instead of
+// degrading to quadratic time. It allocates nothing. 0 ≤ k < len(x).
+func kthFloat(x []float64, k int) float64 {
+	lo, hi := 0, len(x)-1
+	for lo < hi {
+		p := medianOf3(x[lo], x[lo+(hi-lo)/2], x[hi])
+		// Partition x[lo..hi] into < p, == p, > p.
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch v := x[i]; {
+			case floatLess(v, p):
+				x[lt], x[i] = v, x[lt]
+				lt++
+				i++
+			case floatLess(p, v):
+				x[gt], x[i] = v, x[gt]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return x[k]
+		}
+	}
+	return x[k]
+}
+
+// medianOf3 returns the median of a, b and c under floatLess.
+func medianOf3(a, b, c float64) float64 {
+	if floatLess(b, a) {
+		a, b = b, a
+	}
+	if floatLess(c, b) {
+		b = c
+		if floatLess(b, a) {
+			b = a
+		}
+	}
+	return b
 }
 
 // computeRegret fills diag.AvgRegret: the mean excess of the evaluated

@@ -216,16 +216,22 @@ func TestServerDedupHighWaterMark(t *testing.T) {
 	if status != 200 || pr.AckedSeq != 10 || pr.NextFrame != 3 || pr.Duplicates != 1 {
 		t.Fatalf("old seq: HTTP %d %+v, want acked 10 / next 3 / 1 duplicate", status, pr)
 	}
-	// Status surfaces the marks and the cumulative discard count.
-	sresp, err := http.Get(hs.URL + "/v1/streams/" + s.ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sresp.Body.Close()
+	// Status surfaces the marks and the cumulative discard count. A push
+	// ack means queued, not processed, so wait for the queue to drain
+	// before reading the frame cursor.
 	var row StreamStatus
-	if err := json.NewDecoder(sresp.Body).Decode(&row); err != nil {
-		t.Fatal(err)
-	}
+	waitFor(t, func() bool {
+		sresp, err := http.Get(hs.URL + "/v1/streams/" + s.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer sresp.Body.Close()
+		row = StreamStatus{}
+		if err := json.NewDecoder(sresp.Body).Decode(&row); err != nil {
+			t.Fatal(err)
+		}
+		return row.Queued == 0
+	}, "the pushed frames to leave the queue")
 	if row.AckedSeq != 10 || row.Duplicates != 5 {
 		t.Fatalf("status row %+v, want acked_seq 10, duplicates 5", row)
 	}

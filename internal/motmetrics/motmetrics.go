@@ -38,8 +38,18 @@ func TrackObject(t *video.Track) video.ObjectID {
 // fragments of the same ground-truth track).
 func PolyonymousPairs(ps *video.PairSet) map[video.PairKey]bool {
 	out := make(map[video.PairKey]bool)
+	// A track belongs to many pairs; attribute each one once.
+	objects := make(map[*video.Track]video.ObjectID)
+	object := func(t *video.Track) video.ObjectID {
+		obj, ok := objects[t]
+		if !ok {
+			obj = TrackObject(t)
+			objects[t] = obj
+		}
+		return obj
+	}
 	for _, p := range ps.Pairs {
-		if Polyonymous(p) {
+		if oi := object(p.TI); oi >= 0 && oi == object(p.TJ) {
 			out[p.Key] = true
 		}
 	}

@@ -70,6 +70,47 @@ func TestPolyonymousPairs(t *testing.T) {
 	}
 }
 
+func TestPolyonymousPairsMatchesPerPair(t *testing.T) {
+	// Fragments of five objects, some contaminated past the purity
+	// threshold, some exactly at it, and one of unknown objects: the
+	// per-call attribution must give the per-pair inspector's answer.
+	var tracks []*video.Track
+	for id := video.TrackID(1); id <= 24; id++ {
+		tr := hypTrack(id, video.ObjectID(id%5), video.FrameIndex(id)*3, video.FrameIndex(id)*3+9)
+		switch id % 4 {
+		case 1:
+			for i := 0; i < 5; i++ {
+				tr.Boxes[i].GTObject = video.ObjectID(id%3 + 10) // 50%: at the threshold
+			}
+		case 2:
+			for i := 0; i < 6; i++ {
+				tr.Boxes[i].GTObject = 9 // majority switches to 9
+			}
+		case 3:
+			if id > 20 {
+				for i := range tr.Boxes {
+					tr.Boxes[i].GTObject = -1
+				}
+			}
+		}
+		tracks = append(tracks, tr)
+	}
+	ps := pairSet(tracks...)
+	got := PolyonymousPairs(ps)
+	want := 0
+	for _, p := range ps.Pairs {
+		if Polyonymous(p) {
+			want++
+			if !got[p.Key] {
+				t.Errorf("pair %v polyonymous but missing", p.Key)
+			}
+		}
+	}
+	if len(got) != want || want == 0 {
+		t.Errorf("got %d pairs, per-pair inspector finds %d", len(got), want)
+	}
+}
+
 func TestPolyonymousRate(t *testing.T) {
 	a := hypTrack(1, 7, 0, 10)
 	b := hypTrack(2, 7, 20, 30)

@@ -112,23 +112,39 @@ func (t *Track) EndFrame() FrameIndex { return t.Last().Frame }
 func (t *Track) Span() int { return int(t.EndFrame()-t.StartFrame()) + 1 }
 
 // MajorityObject returns the GT object that owns the plurality of the
-// track's BBoxes, together with the fraction of boxes it owns. It returns
-// (-1, 0) for an empty track or a track of unknown objects.
+// track's BBoxes (ties to the smaller ID), together with the fraction of
+// boxes it owns. It returns (-1, 0) for an empty track or a track of
+// unknown objects.
+//
+// It allocates nothing: each pass over the boxes counts the smallest
+// object ID above the previous pass's, so IDs are visited in ascending
+// order and a later ID must own strictly more boxes to win. Passes stop
+// once the boxes left unvisited cannot outnumber the leader, so a pure
+// track costs one pass and a track of d objects at most d.
 func (t *Track) MajorityObject() (ObjectID, float64) {
-	if len(t.Boxes) == 0 {
-		return -1, 0
-	}
-	counts := make(map[ObjectID]int)
-	for _, b := range t.Boxes {
-		if b.GTObject >= 0 {
-			counts[b.GTObject]++
-		}
-	}
 	best, bestN := ObjectID(-1), 0
-	for id, n := range counts {
-		if n > bestN || (n == bestN && id < best) {
-			best, bestN = id, n
+	for prev := ObjectID(-1); ; {
+		next, n, above := ObjectID(0), 0, 0
+		for i := range t.Boxes {
+			id := t.Boxes[i].GTObject
+			if id <= prev {
+				continue
+			}
+			above++
+			switch {
+			case n == 0 || id < next:
+				next, n = id, 1
+			case id == next:
+				n++
+			}
 		}
+		if n > bestN {
+			best, bestN = next, n
+		}
+		if above-n <= bestN {
+			break
+		}
+		prev = next
 	}
 	if bestN == 0 {
 		return -1, 0

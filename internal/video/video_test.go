@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/tmerge/tmerge/internal/geom"
+	"github.com/tmerge/tmerge/internal/xrand"
 )
 
 // mkTrack builds a track with boxes at the given frames.
@@ -81,6 +82,56 @@ func TestMajorityObjectTieBreak(t *testing.T) {
 	obj, _ := tr.MajorityObject()
 	if obj != 3 {
 		t.Errorf("tie must resolve to smaller ID, got %v", obj)
+	}
+}
+
+// majorityByCounting is the map-tally MajorityObject replaced, kept as
+// its test oracle.
+func majorityByCounting(t *Track) (ObjectID, float64) {
+	counts := make(map[ObjectID]int)
+	for _, b := range t.Boxes {
+		if b.GTObject >= 0 {
+			counts[b.GTObject]++
+		}
+	}
+	best, bestN := ObjectID(-1), 0
+	for id, n := range counts {
+		if n > bestN || (n == bestN && id < best) {
+			best, bestN = id, n
+		}
+	}
+	if bestN == 0 {
+		return -1, 0
+	}
+	return best, float64(bestN) / float64(len(t.Boxes))
+}
+
+func TestMajorityObjectMatchesCounting(t *testing.T) {
+	r := xrand.New(3)
+	for rep := 0; rep < 2000; rep++ {
+		tr := &Track{ID: 1, Boxes: make([]BBox, r.Intn(40))}
+		objects := 1 + r.Intn(6)
+		for i := range tr.Boxes {
+			// -1 is an unknown object; small ranges force ties.
+			tr.Boxes[i].GTObject = ObjectID(r.Intn(objects+1) - 1)
+		}
+		gotObj, gotPurity := tr.MajorityObject()
+		wantObj, wantPurity := majorityByCounting(tr)
+		if gotObj != wantObj || gotPurity != wantPurity {
+			t.Fatalf("boxes %v: got %v/%v, want %v/%v", tr.Boxes, gotObj, gotPurity, wantObj, wantPurity)
+		}
+	}
+}
+
+func TestMajorityObjectAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
+	}
+	tr := mkTrack(1, 1, 2, 3, 4, 5, 6)
+	tr.Boxes[2].GTObject = 9
+	tr.Boxes[4].GTObject = 4
+	if got := testing.AllocsPerRun(100, func() { tr.MajorityObject() }); got != 0 {
+		t.Errorf("MajorityObject: %v allocs, want 0", got)
 	}
 }
 
