@@ -2,8 +2,6 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 )
 
@@ -56,71 +54,20 @@ func TestOpenRejectsBitFlips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every single-bit flip must either be rejected or (for flips in
-	// envelope metadata that Go's case-insensitive JSON field matching
-	// tolerates, e.g. "format" -> "Format") decode to the exact original
-	// payload. What may never happen is a flip that silently yields
+	// Every single-bit flip must be rejected: the header is parsed
+	// strictly, so a flip there breaks the layout or changes the format,
+	// version or recorded checksum, and a flip in the payload fails the
+	// checksum. What may never happen is a flip that silently yields
 	// different state.
-	rejected := 0
 	for i := 0; i < len(data); i++ {
 		for bit := 0; bit < 8; bit++ {
 			mut := append([]byte(nil), data...)
 			mut[i] ^= 1 << bit
 			var out testPayload
-			if err := Open(mut, &out); err != nil {
-				rejected++
-				continue
-			}
-			if out.Name != orig.Name || out.Count != orig.Count ||
-				len(out.Vals) != 1 || out.Vals[0] != orig.Vals[0] {
-				t.Fatalf("bit flip at byte %d bit %d silently changed the payload: %+v", i, bit, out)
-			}
-		}
-	}
-	if rejected == 0 {
-		t.Fatal("no flip was rejected; checksum is not engaged")
-	}
-	// Flips inside the payload region specifically must all be caught by
-	// the checksum: locate the payload bytes and flip each of them.
-	pi := bytes.Index(data, []byte(`"payload":`))
-	if pi < 0 {
-		t.Fatal("payload field not found")
-	}
-	for i := pi + len(`"payload":`); i < len(data)-1; i++ {
-		for bit := 0; bit < 8; bit++ {
-			mut := append([]byte(nil), data...)
-			mut[i] ^= 1 << bit
-			var out testPayload
 			if err := Open(mut, &out); err == nil {
-				t.Fatalf("payload bit flip at byte %d bit %d accepted", i, bit)
+				t.Fatalf("bit flip at byte %d bit %d accepted: %+v", i, bit, out)
 			}
 		}
-	}
-}
-
-func TestOpenRejectsWrongFormatAndVersion(t *testing.T) {
-	payload, _ := json.Marshal(testPayload{Name: "x"})
-	mk := func(format string, version int, sum string) []byte {
-		b, err := json.Marshal(map[string]any{
-			"format": format, "version": version, "checksum": sum, "payload": json.RawMessage(payload),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	var out testPayload
-	if err := Open(mk("other/format", Version, strings.Repeat("0", 64)), &out); err == nil ||
-		!strings.Contains(err.Error(), "format") {
-		t.Errorf("wrong format: err = %v", err)
-	}
-	if err := Open(mk(Format, Version+1, strings.Repeat("0", 64)), &out); err == nil ||
-		!strings.Contains(err.Error(), "version") {
-		t.Errorf("future version: err = %v", err)
-	}
-	if err := Open(mk(Format, Version, strings.Repeat("0", 64)), &out); err == nil ||
-		!strings.Contains(err.Error(), "checksum") {
-		t.Errorf("bad checksum: err = %v", err)
 	}
 }
 

@@ -10,7 +10,9 @@ import (
 // Fingerprint digests every determinism-relevant field of the result —
 // window reports (selected pairs included), recall, oracle stats,
 // virtual time, resilience counters, and the merged track set — into a
-// hex SHA-256 string. Two passes over the same input with the same
+// hex SHA-256 string. A merged track is digested by its ID and its box
+// IDs only, not geometry or appearance, so a streaming session whose
+// retired tracks carry no Obs fingerprints like one that kept them. Two passes over the same input with the same
 // configuration must fingerprint identically regardless of
 // PipelineConfig.Workers; the CI bench gate fails on any mismatch.
 // Floats are digested by their IEEE-754 bit patterns, so the comparison

@@ -53,9 +53,10 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 		NextFrame:  in.nextFrame,
 		NextWindow: in.nextWindow,
 
-		Stream: in.stream.State(),
-		Merger: in.merger.State(),
-		Oracle: in.oracle.State(),
+		Stream:  in.stream.State(),
+		Retired: in.retired,
+		Merger:  in.merger.State(),
+		Oracle:  in.oracle.State(),
 
 		Quarantine:     in.quar.state(),
 		QuarantineMark: in.quarMark,
@@ -176,6 +177,22 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 	merger, err := core.RestoreMerger(st.Merger)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: restore: %w", err)
+	}
+	// Retired tracks are read-only from here on and need no copy, but
+	// their IDs must be unique across the ledger and the stream, or
+	// MergedTracks could not build a track set.
+	for _, t := range st.Retired {
+		if err := t.Validate(); err != nil {
+			return nil, fmt.Errorf("ingest: restore: retired track invalid: %w", err)
+		}
+	}
+	live := stream.Snapshot()
+	ids := make(map[video.TrackID]bool, len(live)+len(st.Retired))
+	for _, t := range append(live, st.Retired...) {
+		if ids[t.ID] {
+			return nil, fmt.Errorf("ingest: restore: track %d is both retired and live, or retired twice", t.ID)
+		}
+		ids[t.ID] = true
 	}
 	var prevTc []*video.Track
 	for _, t := range st.PrevTc {
@@ -308,6 +325,7 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 		nextFrame:  st.NextFrame,
 		nextWindow: st.NextWindow,
 		prevTc:     prevTc,
+		retired:    st.Retired,
 		quar:       quarantineFromState(st.Quarantine),
 		quarMark:   st.QuarantineMark,
 		view:       view,

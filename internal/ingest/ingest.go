@@ -154,6 +154,19 @@ type Ingestor struct {
 	prevTc     []*video.Track
 	results    []WindowResult
 
+	// retired is the ledger of tracks the stream no longer holds: every
+	// finished track whose last box precedes the Start of the last
+	// committed window (see retire). Its boxes carry no Obs.
+	// MergedTracks and Result read it together with the live tracks.
+	retired []*video.Track
+	// keep is retire's reusable buffer of box IDs the feature cache
+	// retains.
+	keep []video.BBoxID
+	// keepAll disables retirement and feature-cache eviction: the
+	// never-retire reference session the differential tests compare
+	// against.
+	keepAll bool
+
 	quar     *quarantine
 	quarMark int // quarantine total at the last window close
 
@@ -166,8 +179,9 @@ type Ingestor struct {
 	// tiered view), present iff cfg.History is set. Created eagerly at
 	// New/Restore: the journal must cover every window from 0.
 	hist *history
-	// fed counts, per raw stream track, how many of its boxes have been
-	// folded into the view — the incremental feed cursor.
+	// fed counts, per live stream track, how many of its boxes have been
+	// folded into the view — the incremental feed cursor. A track's
+	// entry goes when it retires: by then every box is in the view.
 	fed  map[video.TrackID]int
 	subs []subscription
 	// pendingOps parks checkpointed operator states between Restore and
@@ -386,7 +400,48 @@ func (in *Ingestor) processWindows(ws []video.Window) []WindowResult {
 			in.commitWindow(res)
 			in.results = append(in.results, *res)
 		})
+	if !in.keepAll {
+		in.retire(ws[len(ws)-1].Start)
+	}
 	return out
+}
+
+// retire drops the session state no future window can read, once the
+// windows up to one starting at frame start are committed. Every later
+// window starts after start and reads only tracks starting in its own
+// first half (windowTracks) plus prevTc, whose boxes all lie at or after
+// start. So:
+//
+//   - a finished track whose last box precedes start is never read
+//     again. It moves from the stream to the retired ledger, without its
+//     Kalman state, appearance EMA and box Obs; its view feed cursor
+//     goes too, since every box is already in the view;
+//   - no future pair can name a box before start. The feature cache
+//     keeps only the boxes of live tracks at or after start (prevTc's
+//     boxes are among them), so cache hits, extractions and the virtual
+//     clock are unchanged.
+//
+// The cost is proportional to the hot state: the finished hypotheses
+// the stream still holds, and the live boxes at or after start.
+func (in *Ingestor) retire(start video.FrameIndex) {
+	for _, t := range in.stream.RetireBefore(start) {
+		boxes := make([]video.BBox, len(t.Boxes))
+		for i, b := range t.Boxes {
+			b.Obs = nil
+			boxes[i] = b
+		}
+		in.retired = append(in.retired, &video.Track{ID: t.ID, Boxes: boxes})
+		delete(in.fed, t.ID)
+	}
+	// Only visible tracks can have cached boxes: pairs are built from
+	// Snapshot, and a hypothesis never becomes invisible again.
+	in.keep = in.keep[:0]
+	for _, t := range in.stream.Snapshot() {
+		for i := len(t.Boxes) - 1; i >= 0 && t.Boxes[i].Frame >= start; i-- {
+			in.keep = append(in.keep, t.Boxes[i].ID)
+		}
+	}
+	in.oracle.RetainFeatures(in.keep)
 }
 
 // commitWindow advances the session's view (plain or tiered) and its
@@ -500,15 +555,21 @@ func (in *Ingestor) queryView() query.TrackView {
 }
 
 // ensureView creates the live view on first use and backfills it to the
-// session's current committed state: every stream box up to the last
-// closed window's end, then the full merge-event log. History sessions
-// maintain their (tiered) view from window 0, so this is a no-op there.
+// session's current committed state: every retired box, every stream box
+// up to the last closed window's end, then the full merge-event log.
+// History sessions maintain their (tiered) view from window 0, so this
+// is a no-op there.
 func (in *Ingestor) ensureView() {
 	if in.view != nil || in.hist != nil {
 		return
 	}
 	in.view = trackdb.NewLiveView()
 	in.fed = make(map[video.TrackID]int)
+	for _, t := range in.retired {
+		for _, b := range t.Boxes {
+			in.view.Extend(t.ID, b)
+		}
+	}
 	if end := in.lastClosedEnd(); end >= 0 {
 		in.feedBoxes(end)
 	}
@@ -560,9 +621,11 @@ func (in *Ingestor) Merger() *core.Merger { return in.merger }
 func (in *Ingestor) Oracle() *reid.Oracle { return in.oracle }
 
 // MergedTracks returns the current track state with merged identities
-// applied — the metadata a downstream query engine would consume.
+// applied — the metadata a downstream query engine would consume. Boxes
+// of retired tracks (see retire) carry no Obs: nothing downstream of
+// selection reads appearance, and the fingerprint hashes box IDs only.
 func (in *Ingestor) MergedTracks() *video.TrackSet {
-	return in.merger.Apply(video.NewTrackSet(sortTracks(in.stream.Snapshot())))
+	return in.merger.Apply(video.NewTrackSet(append(in.stream.Snapshot(), in.retired...)))
 }
 
 // FramesSeen returns how many frames the stream cursor has passed (the

@@ -42,6 +42,9 @@ type Oracle struct {
 	// SequenceDistance).
 	mu    sync.Mutex
 	cache featureCache
+	// spare is the second buffer RetainFeatures rebuilds the cache into,
+	// kept (empty) between calls so eviction does not allocate.
+	spare featureCache
 	// Caching can be disabled for the ablation benchmarks.
 	cacheEnabled bool
 	stats        Stats
@@ -101,6 +104,27 @@ func (o *Oracle) ResetCache() {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	o.cache.reset()
+}
+
+// RetainFeatures evicts every cached embedding whose box ID is not in
+// keep. The streaming ingestor calls it after each committed window
+// batch with the boxes a future pair can still name, so the cache (and
+// the checkpoint carrying it) stays bounded by the live window instead
+// of growing with the stream. Evicting an entry no later call asks for
+// changes no counter: Stats and every distance are as if the cache had
+// kept it. The cost is proportional to len(keep) plus the cache's table
+// size; IDs in keep that are not cached are ignored.
+func (o *Oracle) RetainFeatures(keep []video.BBoxID) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	o.spare.reserve(min(len(keep), o.cache.len()))
+	for _, id := range keep {
+		if v, ok := o.cache.get(id); ok {
+			o.spare.put(id, v)
+		}
+	}
+	o.cache, o.spare = o.spare, o.cache
+	o.spare.reset()
 }
 
 // CachedFeature is one serialised feature-cache entry.

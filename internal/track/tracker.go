@@ -266,6 +266,31 @@ func (s *Stream) Snapshot() []*video.Track {
 	return out
 }
 
+// RetireBefore removes from the stream every finished hypothesis whose
+// last box lies before frame before, and returns the removed ones that
+// meet the MinHits threshold as tracks, in retirement order. Boxes are
+// handed over, not copied: the stream no longer references them. A
+// finished hypothesis never changes again, so after this call the
+// stream differs from one that kept it only in what Snapshot and State
+// include. The cost is proportional to the finished hypotheses the
+// stream still holds, not to the stream's history.
+func (s *Stream) RetireBefore(before video.FrameIndex) []*video.Track {
+	var out []*video.Track
+	kept := s.finished[:0]
+	for _, h := range s.finished {
+		if n := len(h.boxes); n > 0 && h.boxes[n-1].Frame >= before {
+			kept = append(kept, h)
+			continue
+		}
+		if h.hits >= s.e.cfg.MinHits {
+			out = append(out, &video.Track{ID: h.id, Boxes: h.boxes})
+		}
+	}
+	clear(s.finished[len(kept):])
+	s.finished = kept
+	return out
+}
+
 // Finish retires every remaining active track and returns the final set.
 // The stream must not be stepped afterwards.
 func (s *Stream) Finish() *video.TrackSet {
