@@ -9,9 +9,11 @@
 // (no context.Background outside main, no time.Sleep or select-less
 // channel loops in ctx-taking functions, no deadline-less net.Dial),
 // channel-hygiene (unbuffered sends need a select escape arm, close
-// only by the owning sender, exactly one close site per channel), and
+// only by the owning sender, exactly one close site per channel),
 // http-hygiene (servers/clients carry timeouts, handlers bound request
-// bodies).
+// bodies), and unused (every exported package-level identifier of an
+// internal package is used by a non-test file of the module; checked
+// only when the module root is among the packages, as with ./...).
 //
 // Usage:
 //

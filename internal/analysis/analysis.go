@@ -31,6 +31,12 @@
 //   - http-hygiene: servers/clients carry timeouts, handlers bound
 //     request bodies (see CheckHTTPHygiene).
 //
+// A module-wide check keeps refactors from stranding code:
+//
+//   - unused: every exported package-level func, type, var and const of
+//     an internal package is used by some non-test file of the module
+//     (see CheckUnused).
+//
 // A finding can be suppressed in place with a directive comment
 //
 //	//tmerge:allow <check-name> <reason>
@@ -41,14 +47,12 @@
 package analysis
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"io"
 	"sort"
-	"strings"
 )
 
 // Check names, in the order checkers run. These are the names findings
@@ -63,6 +67,7 @@ const (
 	CheckContextDisciplineName  = "context-discipline"
 	CheckChannelHygieneName     = "channel-hygiene"
 	CheckHTTPHygieneName        = "http-hygiene"
+	CheckUnusedName             = "unused"
 	checkAllowName              = "allow" // directive findings (malformed/unused); not suppressible
 	allowDirectivePrefix        = "//tmerge:allow"
 	allowDirectiveSpelling      = "//tmerge:allow <check-name> <reason>"
@@ -78,6 +83,7 @@ var KnownChecks = []string{
 	CheckContextDisciplineName,
 	CheckChannelHygieneName,
 	CheckHTTPHygieneName,
+	CheckUnusedName,
 }
 
 // Finding is one rule violation at one source position.
@@ -135,35 +141,20 @@ func WriteJSON(w io.Writer, fs []Finding) error {
 	return nil
 }
 
-// DecodeJSON reads findings written by WriteJSON (one JSON object per
-// line; blank lines are skipped).
-func DecodeJSON(r io.Reader) ([]Finding, error) {
-	var out []Finding
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var f Finding
-		if err := json.Unmarshal([]byte(line), &f); err != nil {
-			return nil, fmt.Errorf("analysis: bad finding line %q: %w", line, err)
-		}
-		out = append(out, f)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // Run executes every checker over every package, applies //tmerge:allow
 // suppressions, reports malformed and unused directives, and returns the
 // surviving findings sorted by position. CheckAPIDoc runs only on the
-// module's root package (where the public surface lives).
+// module's root package (where the public surface lives). CheckUnused
+// needs every package that could use an identifier, so it runs only
+// when the module root is among pkgs, as in tmergevet's default ./... .
 func Run(pkgs []*Package) []Finding {
 	var all []Finding
+	var refs map[string]bool
+	for _, p := range pkgs {
+		if p.IsModuleRoot() {
+			refs = References(pkgs)
+		}
+	}
 	for _, p := range pkgs {
 		var fs []Finding
 		fs = append(fs, CheckDeterminism(p)...)
@@ -175,6 +166,9 @@ func Run(pkgs []*Package) []Finding {
 		fs = append(fs, CheckHTTPHygiene(p)...)
 		if p.IsModuleRoot() {
 			fs = append(fs, CheckAPIDoc(p)...)
+		}
+		if refs != nil {
+			fs = append(fs, CheckUnused(p, refs)...)
 		}
 		allowed, malformed := p.directives()
 		fs = filterAllowed(fs, allowed)

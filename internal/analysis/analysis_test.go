@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -122,6 +125,23 @@ func TestCheckAPIDocGolden(t *testing.T) {
 	}
 }
 
+// TestCheckUnusedGolden loads the unused package together with
+// unusedref, its only user outside itself, so references from another
+// package count and references from a _test.go file do not.
+func TestCheckUnusedGolden(t *testing.T) {
+	pkgs, err := Load(".", "./testdata/src/unused", "./testdata/src/unusedref")
+	if err != nil {
+		t.Fatalf("loading testdata: %v", err)
+	}
+	refs := References(pkgs)
+	rel := "testdata/src/unused/unused.go"
+	var fs []Finding
+	for _, p := range pkgs {
+		fs = append(fs, CheckUnused(p, refs)...)
+	}
+	checkGolden(t, rel, fs, wantedLines(t, rel))
+}
+
 // TestAllowSuppression drives Run over the allow package: valid
 // directives (line-above and same-line forms) must suppress, malformed
 // directives (missing reason, unknown check) must surface as "allow"
@@ -225,4 +245,27 @@ func ExampleWriteText() {
 	// Output:
 	// x.go:1: [api-doc] exported function X has no doc comment
 	// done
+}
+
+// DecodeJSON reads findings written by WriteJSON (one JSON object per
+// line; blank lines are skipped).
+func DecodeJSON(r io.Reader) ([]Finding, error) {
+	var out []Finding
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line == "" {
+			continue
+		}
+		var f Finding
+		if err := json.Unmarshal([]byte(line), &f); err != nil {
+			return nil, fmt.Errorf("analysis: bad finding line %q: %w", line, err)
+		}
+		out = append(out, f)
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

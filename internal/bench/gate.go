@@ -1,11 +1,8 @@
 package bench
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"io"
-	"strings"
 )
 
 // Gate statuses.
@@ -65,30 +62,4 @@ func WriteGateStatuses(w io.Writer, rows []GateStatus) error {
 		}
 	}
 	return nil
-}
-
-// DecodeGateStatuses reads GateStatus rows from a mixed NDJSON stream
-// (blank lines and rows of other experiments are skipped).
-func DecodeGateStatuses(r io.Reader) ([]GateStatus, error) {
-	var out []GateStatus
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var row GateStatus
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			return nil, fmt.Errorf("bench: decoding row %q: %w", line, err)
-		}
-		if row.Experiment != gateStatusExperiment {
-			continue
-		}
-		out = append(out, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

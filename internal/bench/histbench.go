@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"github.com/tmerge/tmerge/internal/core"
@@ -468,41 +465,6 @@ func HistBench(w io.Writer, cfg HistBenchConfig) (HistBenchRow, []GateStatus, er
 		fmt.Fprintf(w, "gate %s %s: %s\n", st.Gate, st.Status, st.Reason)
 	}
 	return row, statuses, nil
-}
-
-// WriteHistBench appends the result row and its gate statuses as
-// line-delimited JSON — the bench-artifact convention.
-func WriteHistBench(w io.Writer, row HistBenchRow, statuses []GateStatus) error {
-	if err := json.NewEncoder(w).Encode(row); err != nil {
-		return err
-	}
-	return WriteGateStatuses(w, statuses)
-}
-
-// DecodeHistBench reads histbench rows from a mixed NDJSON stream
-// (blank lines and rows of other experiments are skipped).
-func DecodeHistBench(r io.Reader) ([]HistBenchRow, error) {
-	var out []HistBenchRow
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var row HistBenchRow
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			return nil, fmt.Errorf("bench: decoding row %q: %w", line, err)
-		}
-		if row.Experiment != histBenchExperiment {
-			continue
-		}
-		out = append(out, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CheckHistBench returns the CI-gate failures for a histbench run: the

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
 	"strings"
 	"testing"
@@ -148,4 +149,13 @@ func TestHistBenchRejectsBadConfig(t *testing.T) {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
 	}
+}
+
+// WriteHistBench appends the result row and its gate statuses as
+// line-delimited JSON — the bench-artifact convention.
+func WriteHistBench(w io.Writer, row HistBenchRow, statuses []GateStatus) error {
+	if err := json.NewEncoder(w).Encode(row); err != nil {
+		return err
+	}
+	return WriteGateStatuses(w, statuses)
 }

@@ -1,16 +1,13 @@
 package bench
 
 import (
-	"bufio"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"io"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -327,44 +324,6 @@ func ServeBench(ctx context.Context, w io.Writer, cfg ServeBenchConfig) ([]Serve
 			r.Streams, r.Transport, r.Frames, r.Windows, r.WallMS, r.AggFPS, r.P50LatencyMS, r.P99LatencyMS, r.LeakedGoroutines, r.Fingerprint[:12])
 	}
 	return rows, nil
-}
-
-// WriteServeBench writes rows as line-delimited JSON, one object per
-// line, the repo-wide NDJSON convention.
-func WriteServeBench(w io.Writer, rows []ServeBenchResult) error {
-	enc := json.NewEncoder(w)
-	for _, r := range rows {
-		if err := enc.Encode(r); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DecodeServeBench reads rows written by WriteServeBench (blank lines
-// and rows of other experiments are skipped).
-func DecodeServeBench(r io.Reader) ([]ServeBenchResult, error) {
-	var out []ServeBenchResult
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
-		var row ServeBenchResult
-		if err := json.Unmarshal([]byte(line), &row); err != nil {
-			return nil, fmt.Errorf("bench: decoding row %q: %w", line, err)
-		}
-		if row.Experiment != serveBenchExperiment {
-			continue
-		}
-		out = append(out, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // CheckServeBench validates one run's rows: per-stream isolation means

@@ -3,6 +3,8 @@ package bench
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"io"
 	"testing"
 )
 
@@ -117,4 +119,16 @@ func TestCheckServeBenchFailsDirtyRows(t *testing.T) {
 	if len(fails) != 3 {
 		t.Fatalf("want 3 failures (frames, windows, leak), got %v", fails)
 	}
+}
+
+// WriteServeBench writes rows as line-delimited JSON, one object per
+// line, the repo-wide NDJSON convention.
+func WriteServeBench(w io.Writer, rows []ServeBenchResult) error {
+	enc := json.NewEncoder(w)
+	for _, r := range rows {
+		if err := enc.Encode(r); err != nil {
+			return err
+		}
+	}
+	return nil
 }

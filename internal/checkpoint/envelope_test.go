@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -122,15 +123,17 @@ func TestOpenRefusesOtherLayouts(t *testing.T) {
 		"format": env.Format, "version": env.Version, "checksum": env.Checksum, "payload": env.Payload,
 	})
 	indented, _ := json.MarshalIndent(env, "", " ")
+	v := strconv.Itoa(checkpoint.Version)
+	version := []byte(`"version":` + v)
 	for name, data := range map[string][]byte{
 		"reordered":   reordered,
 		"indented":    indented,
 		"trailing":    append(append([]byte(nil), good...), '\n'),
 		"leading":     append([]byte(" "), good...),
 		"escaped /":   bytes.Replace(good, []byte(`tmerge/checkpoint`), []byte(`tmerge\/checkpoint`), 1),
-		"version +4":  bytes.Replace(good, []byte(`"version":4`), []byte(`"version":+4`), 1),
-		"version 04":  bytes.Replace(good, []byte(`"version":4`), []byte(`"version":04`), 1),
-		"version 4.0": bytes.Replace(good, []byte(`"version":4`), []byte(`"version":4.0`), 1),
+		"version +n":  bytes.Replace(good, version, []byte(`"version":+`+v), 1),
+		"version 0n":  bytes.Replace(good, version, []byte(`"version":0`+v), 1),
+		"version n.0": bytes.Replace(good, version, []byte(`"version":`+v+`.0`), 1),
 	} {
 		var out map[string]int
 		if err := checkpoint.Open(data, &out); err == nil || !strings.Contains(err.Error(), "malformed") {

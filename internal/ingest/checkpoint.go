@@ -3,35 +3,200 @@ package ingest
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/tmerge/tmerge/internal/checkpoint"
 	"github.com/tmerge/tmerge/internal/core"
 	"github.com/tmerge/tmerge/internal/device"
 	"github.com/tmerge/tmerge/internal/fault"
+	"github.com/tmerge/tmerge/internal/geom"
 	"github.com/tmerge/tmerge/internal/query"
 	"github.com/tmerge/tmerge/internal/reid"
 	"github.com/tmerge/tmerge/internal/track"
-	"github.com/tmerge/tmerge/internal/trackdb"
 	"github.com/tmerge/tmerge/internal/video"
 )
 
-// Checkpoint seals the session's full mutable state — tracker
-// hypotheses, identity map, ReID cache and counters, device resilience
-// state, quarantine ledger, window results, and cursors — into a
-// self-contained, versioned, checksummed byte slice. A session restored
-// from it and fed the same subsequent frames produces bit-identical
-// window results and merged tracks to the uninterrupted session.
+// sessionState is the checkpoint payload of one streaming ingestion
+// session, sealed in the checkpoint envelope (checkpoint.Format,
+// checkpoint.Version). Only this package writes and reads it. It holds
+// each fact of the session once; what can be derived from those facts —
+// the merged-track view, the previous window's clipped tracks — is
+// rebuilt at restore. The config/model echoes exist so Restore can
+// verify the caller reassembled an equivalent pipeline (same windowing,
+// same algorithm, same tracker preset, same ReID model) before any state
+// is applied: restoring against a different pipeline would not fail, it
+// would silently diverge, which is worse.
+//
+// Version history (checkpoint.Version):
+//
+//   - 2 added the streaming-query state: the merger's ordered merge-event
+//     log, per-window Events and Queries, and the live-view and
+//     subscription snapshots.
+//   - 3 added the history reference: sessions with an on-disk history log
+//     reference a manifest position instead of embedding the event log
+//     and the view, the merger snapshot gained an event base (the log is
+//     trimmed once segments are sealed), and restore replays the view
+//     from segments.
+//   - 4 bounded the payload by the session's hot state: finished
+//     hypotheses no future window can read moved to Retired (boxes
+//     without Kalman state, appearance EMA or Obs), and the oracle cache
+//     carries only entries a future pair can still name.
+//   - 5 stores each fact once: no embedded view (a plain session's view is
+//     rebuilt from Retired, Stream up to the Fed cursors, and the merger
+//     log), PrevTc as track IDs, the view feed cursors in Fed, and no
+//     created_at_frame copy of NextFrame. Retired boxes are ledgerBoxes
+//     instead of JSON video.BBoxes.
+type sessionState struct {
+	// Configuration echoes.
+	WindowLen  int     `json:"window_len"`
+	K          float64 `json:"k"`
+	Algorithm  string  `json:"algorithm"`
+	ModelInDim int     `json:"model_in_dim"`
+	ModelScale float64 `json:"model_scale"`
+
+	// Cursors.
+	NextFrame  video.FrameIndex `json:"next_frame"`
+	NextWindow int              `json:"next_window"`
+
+	// Component states. Stream holds only the unretired hypotheses;
+	// Retired is the session's ledger of retired tracks. PrevTc names, in order, the tracks of the last
+	// committed window's Tc; each is a live stream track, clipped to that
+	// window at restore.
+	Stream  track.StreamState `json:"stream"`
+	Retired []ledgerTrack     `json:"retired,omitempty"`
+	PrevTc  []video.TrackID   `json:"prev_tc,omitempty"`
+	Merger  core.MergerState  `json:"merger"`
+	Oracle  reid.OracleState  `json:"oracle"`
+	Results []WindowResult    `json:"results,omitempty"`
+
+	// QuarantineMark is the TotalRejected reading at the last window
+	// close, from which per-window quarantine deltas continue.
+	Quarantine     quarantineState `json:"quarantine"`
+	QuarantineMark int             `json:"quarantine_mark"`
+
+	// Streaming-query state. Fed is the view's feed cursor per live track
+	// (how many of its boxes the view holds), null when the session has no
+	// view. Subscriptions carries each registered operator's state
+	// (registration order first, then any still-parked restored states
+	// sorted by name).
+	Fed           map[video.TrackID]int `json:"fed"`
+	Subscriptions []subscriptionState   `json:"subscriptions,omitempty"`
+
+	// History, present for sessions with an on-disk log-structured
+	// history, is the sealed manifest position the view is replayed from;
+	// Merger then carries only the untrimmed event suffix.
+	History *historyRef `json:"history,omitempty"`
+
+	// Device chain state. ClockNS is the shared virtual clock; the
+	// resilient and fault-injection snapshots are present only when the
+	// session's oracle ran on the corresponding wrappers.
+	ClockNS   int64                  `json:"clock_ns"`
+	Resilient *device.ResilientState `json:"resilient,omitempty"`
+	Flaky     *fault.FlakyState      `json:"flaky,omitempty"`
+}
+
+// ledgerTrack is a retired track as the checkpoint stores it.
+type ledgerTrack struct {
+	ID    video.TrackID `json:"id"`
+	Boxes []ledgerBox   `json:"boxes"`
+}
+
+// ledgerBox is a retired box as the checkpoint stores it: what the
+// ledger keeps of a box under one-letter keys, with the rect as an
+// array. The ledger grows with the stream, and a JSON video.BBox spends
+// about half its bytes on field names and "Obs":null.
+type ledgerBox struct {
+	ID    video.BBoxID     `json:"i"`
+	Frame video.FrameIndex `json:"f"`
+	Rect  [4]float64       `json:"r"`
+	Class video.ClassID    `json:"c,omitempty"`
+	GT    video.ObjectID   `json:"g"`
+}
+
+// toLedger encodes the retired tracks for a checkpoint.
+func toLedger(ts []*video.Track) []ledgerTrack {
+	out := make([]ledgerTrack, len(ts))
+	for i, t := range ts {
+		out[i] = ledgerTrack{ID: t.ID, Boxes: make([]ledgerBox, len(t.Boxes))}
+		for j, b := range t.Boxes {
+			r := b.Rect
+			out[i].Boxes[j] = ledgerBox{ID: b.ID, Frame: b.Frame, Rect: [4]float64{r.X, r.Y, r.W, r.H}, Class: b.Class, GT: b.GTObject}
+		}
+	}
+	return out
+}
+
+// fromLedger decodes checkpointed retired tracks; their boxes carry no
+// Obs.
+func fromLedger(ls []ledgerTrack) []*video.Track {
+	out := make([]*video.Track, len(ls))
+	for i, l := range ls {
+		out[i] = &video.Track{ID: l.ID, Boxes: make([]video.BBox, len(l.Boxes))}
+		for j, b := range l.Boxes {
+			r := geom.Rect{X: b.Rect[0], Y: b.Rect[1], W: b.Rect[2], H: b.Rect[3]}
+			out[i].Boxes[j] = video.BBox{ID: b.ID, Frame: b.Frame, Rect: r, Class: b.Class, GTObject: b.GT}
+		}
+	}
+	return out
+}
+
+// historyRef is a checkpoint's durable position in a session's
+// log-structured history (internal/histlog): everything the restore
+// path needs to cut the on-disk log back to exactly the state the
+// checkpoint covers and replay the view from segments. It deliberately
+// holds no directory path — the history location is pipeline
+// configuration, like the device chain, and a checkpoint must restore on
+// a machine with a different root.
+type historyRef struct {
+	// Windows is the number of committed windows the log covers (the
+	// next window entry appended will be window index Windows).
+	Windows int `json:"windows"`
+	// Seq is the view/merger event cursor after the last covered window.
+	Seq int `json:"seq"`
+	// HotHorizon echoes the session's tiering horizon in frames, so a
+	// restore under a different horizon fails loudly instead of
+	// rebuilding a differently tiered view.
+	HotHorizon int `json:"hot_horizon"`
+}
+
+// subscriptionState is one subscribed incremental operator's
+// checkpointed state, keyed by the subscription name the session
+// registered it under. On restore the session parks these until
+// Subscribe is called again with a matching name, which adopts the
+// state instead of bootstrapping from scratch.
+type subscriptionState struct {
+	Name string              `json:"name"`
+	Op   query.OperatorState `json:"op"`
+}
+
+// quarantineState is the serialisable quarantine ledger: per-reason
+// counters plus the capped dead-letter buffer.
+type quarantineState struct {
+	Cap           int                 `json:"cap"`
+	TotalRejected int                 `json:"total_rejected"`
+	Dropped       int                 `json:"dropped"`
+	Counts        map[string]int      `json:"counts,omitempty"`
+	Rejected      []RejectedDetection `json:"rejected,omitempty"`
+}
+
+// Checkpoint seals the session's mutable state — tracker hypotheses,
+// retired-track ledger, identity map, ReID cache and counters, device
+// resilience state, quarantine ledger, window results, operator states,
+// and cursors — into a self-contained, versioned, checksummed byte
+// slice. A session restored from it and fed the same subsequent frames
+// produces bit-identical window results and merged tracks to the
+// uninterrupted session. The view is not part of it: Restore rebuilds
+// it.
 //
 // Call it between pushes only: the snapshot is taken at a frame
 // boundary, which is the unit of replay.
 //
 // History sessions first seal the active history segment — durability
 // of the journal is ordered before the checkpoint that references it —
-// then trim the in-memory merger log to the sealed prefix and record a
-// HistoryRef (manifest position) instead of embedding the view state.
-// A session whose history log has already failed refuses to
-// checkpoint: the reference could point at state the log does not
-// actually hold.
+// then trim the in-memory merger log to the sealed prefix and record
+// the manifest position. A session whose history log has already failed
+// refuses to checkpoint: the reference could point at state the log
+// does not actually hold.
 func (in *Ingestor) Checkpoint() ([]byte, error) {
 	if in.hist != nil {
 		if in.hist.err != nil {
@@ -43,7 +208,7 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 		in.merger.TrimEvents(in.hist.log.SealedSeq())
 		in.ckptCompactions = in.hist.compactions
 	}
-	st := checkpoint.SessionState{
+	st := sessionState{
 		WindowLen:  in.cfg.WindowLen,
 		K:          in.cfg.K,
 		Algorithm:  in.cfg.Algorithm.Name(),
@@ -54,53 +219,38 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 		NextWindow: in.nextWindow,
 
 		Stream:  in.stream.State(),
-		Retired: in.retired,
+		Retired: toLedger(in.retired),
 		Merger:  in.merger.State(),
 		Oracle:  in.oracle.State(),
+		Results: in.results,
 
 		Quarantine:     in.quar.state(),
 		QuarantineMark: in.quarMark,
 
-		CreatedAtFrame: in.nextFrame,
+		Fed: in.fed,
 	}
 	for _, t := range in.prevTc {
-		st.PrevTc = append(st.PrevTc, copyTrack(t))
-	}
-	for _, r := range in.results {
-		st.Results = append(st.Results, toRecord(r))
-	}
-
-	// Streaming-query state: the live view (embedded for plain sessions,
-	// referenced by manifest position for history sessions) and every
-	// operator, so the restored session resumes incremental processing
-	// without recomputing anything. Registered subscriptions first
-	// (registration order), then any still-unclaimed restored states,
-	// sorted by name.
-	if in.view != nil {
-		vs := in.view.State()
-		st.View = &vs
+		st.PrevTc = append(st.PrevTc, t.ID)
 	}
 	if in.hist != nil {
-		st.History = &checkpoint.HistoryRef{
+		st.History = &historyRef{
 			Windows:    in.hist.log.Windows(),
 			Seq:        in.hist.log.Seq(),
 			HotHorizon: in.hist.horizon,
 		}
 	}
-	if in.view != nil || in.hist != nil {
-		for _, s := range in.subs {
-			st.Subscriptions = append(st.Subscriptions, checkpoint.SubscriptionState{Name: s.name, Op: s.op.State()})
-		}
-		if len(in.pendingOps) > 0 {
-			names := make([]string, 0, len(in.pendingOps))
-			for n := range in.pendingOps {
-				names = append(names, n)
-			}
-			sort.Strings(names)
-			for _, n := range names {
-				st.Subscriptions = append(st.Subscriptions, checkpoint.SubscriptionState{Name: n, Op: in.pendingOps[n]})
-			}
-		}
+	// Registered subscriptions first (registration order), then any
+	// still-unclaimed restored states, sorted by name.
+	for _, s := range in.subs {
+		st.Subscriptions = append(st.Subscriptions, subscriptionState{Name: s.name, Op: s.op.State()})
+	}
+	names := make([]string, 0, len(in.pendingOps))
+	for n := range in.pendingOps {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		st.Subscriptions = append(st.Subscriptions, subscriptionState{Name: n, Op: in.pendingOps[n]})
 	}
 
 	// Walk the device chain from the oracle outwards, snapshotting each
@@ -134,13 +284,18 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 // checkpoint from a different pipeline fails loudly instead of silently
 // diverging. Corrupt bytes are rejected wholesale by the envelope
 // checksum; a semantically invalid snapshot (inconsistent hypothesis,
-// dangling merger parent, mismatched cache dimensionality) is rejected
-// before the oracle or devices are mutated.
+// dangling merger parent, unknown carried track, mismatched cache
+// dimensionality) is rejected before the oracle or devices are mutated.
+//
+// The session's view is derived state: a history session replays it
+// from its log, a plain session that had one rebuilds it from the
+// retired ledger, the stream's boxes up to the checkpointed feed
+// cursors, and the merger's event log.
 func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte) (*Ingestor, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	var st checkpoint.SessionState
+	var st sessionState
 	if err := checkpoint.Open(data, &st); err != nil {
 		return nil, err
 	}
@@ -178,28 +333,52 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: restore: %w", err)
 	}
-	// Retired tracks are read-only from here on and need no copy, but
-	// their IDs must be unique across the ledger and the stream, or
-	// MergedTracks could not build a track set.
-	for _, t := range st.Retired {
+	// Retired track IDs must be unique across the ledger and the stream,
+	// or MergedTracks could not build a track set.
+	retired := fromLedger(st.Retired)
+	for _, t := range retired {
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("ingest: restore: retired track invalid: %w", err)
 		}
 	}
-	live := stream.Snapshot()
-	ids := make(map[video.TrackID]bool, len(live)+len(st.Retired))
-	for _, t := range append(live, st.Retired...) {
+	snap := stream.Snapshot()
+	live := make(map[video.TrackID]*video.Track, len(snap))
+	ids := make(map[video.TrackID]bool, len(snap)+len(retired))
+	for i, t := range append(snap, retired...) {
 		if ids[t.ID] {
 			return nil, fmt.Errorf("ingest: restore: track %d is both retired and live, or retired twice", t.ID)
 		}
 		ids[t.ID] = true
-	}
-	var prevTc []*video.Track
-	for _, t := range st.PrevTc {
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("ingest: restore: carried window track invalid: %w", err)
+		if i < len(snap) {
+			live[t.ID] = t
 		}
-		prevTc = append(prevTc, copyTrack(t))
+	}
+	// The previous window's tracks start at or after its Start, so none
+	// can have retired: each is a live track, clipped to the window again.
+	var prevTc []*video.Track
+	for _, id := range st.PrevTc {
+		var c *video.Track
+		if t := live[id]; t != nil && len(st.Results) > 0 {
+			w := st.Results[len(st.Results)-1].Window
+			c = video.ClipTrack(t, w.Start, w.End)
+		}
+		if c == nil {
+			return nil, fmt.Errorf("ingest: restore: carried window track %d is not a live track of the last committed window", id)
+		}
+		prevTc = append(prevTc, c)
+	}
+	// Every feed cursor must name a live track and fit its boxes.
+	fed := 0
+	for _, t := range snap {
+		if n, ok := st.Fed[t.ID]; ok {
+			if n <= 0 || n > len(t.Boxes) {
+				return nil, fmt.Errorf("ingest: restore: view feed cursor %d out of range for track %d with %d boxes", n, t.ID, len(t.Boxes))
+			}
+			fed++
+		}
+	}
+	if fed != len(st.Fed) {
+		return nil, fmt.Errorf("ingest: restore: %d view feed cursors name tracks the stream does not hold", len(st.Fed)-fed)
 	}
 	if st.Quarantine.Cap <= 0 {
 		return nil, fmt.Errorf("ingest: restore: quarantine cap %d must be positive", st.Quarantine.Cap)
@@ -207,42 +386,10 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 
 	// History-mode / plain-mode agreement: a checkpoint taken with an
 	// on-disk history must be restored with one (same horizon — checked
-	// in restoreHistory), and vice versa; a checkpoint carrying both an
-	// embedded view and a history reference is internally inconsistent.
+	// in restoreHistory), and vice versa.
 	if (st.History != nil) != (cfg.History != nil) {
 		return nil, fmt.Errorf("ingest: restore: checkpoint history reference present=%v, config history enabled=%v",
 			st.History != nil, cfg.History != nil)
-	}
-	if st.History != nil && st.View != nil {
-		return nil, fmt.Errorf("ingest: restore: checkpoint carries both an embedded view and a history reference")
-	}
-
-	// Streaming-query state. The view, when present, must have consumed
-	// the merger's entire event log — checkpoints are taken between
-	// pushes, after every committed window's events were applied.
-	var view *trackdb.LiveView
-	if st.View != nil {
-		v, verr := trackdb.RestoreView(*st.View)
-		if verr != nil {
-			return nil, fmt.Errorf("ingest: restore: %w", verr)
-		}
-		if got, want := v.Seq(), st.Merger.EventBase+len(st.Merger.Events); got != want {
-			return nil, fmt.Errorf("ingest: restore: view consumed %d merge events, merger log ends at %d", got, want)
-		}
-		view = v
-	} else if len(st.Subscriptions) > 0 && st.History == nil {
-		return nil, fmt.Errorf("ingest: restore: checkpoint has %d subscriptions but no view state", len(st.Subscriptions))
-	}
-
-	// History sessions replay the view from sealed segments instead; the
-	// log is cut back to exactly the checkpoint's reference first.
-	var hist *history
-	if st.History != nil {
-		h, herr := restoreHistory(cfg, &st)
-		if herr != nil {
-			return nil, herr
-		}
-		hist = h
 	}
 	var pending map[string]query.OperatorState
 	if len(st.Subscriptions) > 0 {
@@ -255,6 +402,48 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 				return nil, fmt.Errorf("ingest: restore: duplicate checkpoint subscription %q", sub.Name)
 			}
 			pending[sub.Name] = sub.Op
+		}
+	}
+	in := &Ingestor{
+		cfg:        cfg,
+		stream:     stream,
+		oracle:     oracle,
+		merger:     merger,
+		nextFrame:  st.NextFrame,
+		nextWindow: st.NextWindow,
+		prevTc:     prevTc,
+		results:    st.Results,
+		retired:    retired,
+		quar:       quarantineFromState(st.Quarantine),
+		quarMark:   st.QuarantineMark,
+		fed:        st.Fed,
+		pendingOps: pending,
+		runWindows: core.RunWindows,
+	}
+
+	// The view. History sessions cut the on-disk log back to exactly the
+	// checkpoint's reference, replay the view from segments, and re-tier
+	// it at the restored horizon, so the session resumes with the hot/cold
+	// partition the checkpointed session held.
+	switch {
+	case st.History != nil:
+		if st.Fed == nil {
+			return nil, fmt.Errorf("ingest: restore: history checkpoint carries no view feed cursors")
+		}
+		h, view, err := restoreHistory(cfg, &st)
+		if err != nil {
+			return nil, err
+		}
+		view.EvictBefore(in.lastClosedEnd() + 1 - video.FrameIndex(h.horizon))
+		in.hist, in.view = h, view
+	case st.Fed != nil:
+		err := in.buildView(func() {
+			for _, t := range sortTracks(snap) {
+				in.feedTo(t, st.Fed[t.ID])
+			}
+		})
+		if err != nil {
+			return nil, fmt.Errorf("ingest: restore: rebuilding the view: %w", err)
 		}
 	}
 
@@ -315,100 +504,6 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 			return nil, fmt.Errorf("ingest: restore: %w", err)
 		}
 	}
-	oracle.Device().Clock().SetElapsed(st.Elapsed())
-
-	in := &Ingestor{
-		cfg:        cfg,
-		stream:     stream,
-		oracle:     oracle,
-		merger:     merger,
-		nextFrame:  st.NextFrame,
-		nextWindow: st.NextWindow,
-		prevTc:     prevTc,
-		retired:    st.Retired,
-		quar:       quarantineFromState(st.Quarantine),
-		quarMark:   st.QuarantineMark,
-		view:       view,
-		hist:       hist,
-		pendingOps: pending,
-		runWindows: core.RunWindows,
-	}
-	for _, r := range st.Results {
-		in.results = append(in.results, fromRecord(r))
-	}
-	if view != nil || hist != nil {
-		// Rebuild the feed cursors: every box at or before the last
-		// committed window's end is already inside the restored view.
-		in.fed = make(map[video.TrackID]int)
-		in.markFed(in.lastClosedEnd())
-	}
-	if hist != nil {
-		// Re-tier the replayed view at the restored horizon: the segment
-		// replay produced a fully hot view, and the session resumes with
-		// the same hot/cold partition the checkpointed session held.
-		hist.tier.EvictBefore(in.lastClosedEnd() + 1 - video.FrameIndex(hist.horizon))
-	}
+	oracle.Device().Clock().SetElapsed(time.Duration(st.ClockNS))
 	return in, nil
-}
-
-// markFed rebuilds the view feed cursors after restore, without touching
-// the view itself: the restored view state already contains every stream
-// box at or before frame end.
-func (in *Ingestor) markFed(end video.FrameIndex) {
-	for _, t := range in.stream.Snapshot() {
-		n := 0
-		for n < len(t.Boxes) && t.Boxes[n].Frame <= end {
-			n++
-		}
-		if n > 0 {
-			in.fed[t.ID] = n
-		}
-	}
-}
-
-func copyTrack(t *video.Track) *video.Track {
-	return &video.Track{ID: t.ID, Boxes: append([]video.BBox(nil), t.Boxes...)}
-}
-
-func toRecord(r WindowResult) checkpoint.WindowRecord {
-	rec := checkpoint.WindowRecord{
-		Window:      r.Window,
-		Pairs:       r.Pairs,
-		Selected:    append([]video.PairKey(nil), r.Selected...),
-		Merged:      append([]video.PairKey(nil), r.Merged...),
-		Degraded:    r.Degraded,
-		Quarantined: r.Quarantined,
-		Events:      append([]core.MergeEvent(nil), r.Events...),
-	}
-	for _, q := range r.Queries {
-		rec.Queries = append(rec.Queries, checkpoint.QueryRecord{Name: q.Name, Deltas: copyDeltas(q.Deltas)})
-	}
-	return rec
-}
-
-func fromRecord(r checkpoint.WindowRecord) WindowResult {
-	res := WindowResult{
-		Window:      r.Window,
-		Pairs:       r.Pairs,
-		Selected:    append([]video.PairKey(nil), r.Selected...),
-		Merged:      append([]video.PairKey(nil), r.Merged...),
-		Degraded:    r.Degraded,
-		Quarantined: r.Quarantined,
-		Events:      append([]core.MergeEvent(nil), r.Events...),
-	}
-	for _, q := range r.Queries {
-		res.Queries = append(res.Queries, QueryDeltas{Name: q.Name, Deltas: copyDeltas(q.Deltas)})
-	}
-	return res
-}
-
-func copyDeltas(ds []query.Delta) []query.Delta {
-	if ds == nil {
-		return nil
-	}
-	out := make([]query.Delta, len(ds))
-	for i, d := range ds {
-		out[i] = query.Delta{Kind: d.Kind, Row: append([]video.TrackID(nil), d.Row...)}
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package ingest
 import (
 	"fmt"
 
-	"github.com/tmerge/tmerge/internal/checkpoint"
 	"github.com/tmerge/tmerge/internal/core"
 	"github.com/tmerge/tmerge/internal/histlog"
 	"github.com/tmerge/tmerge/internal/trackdb"
@@ -15,7 +14,7 @@ import (
 // merge events) is journaled to segmented, checksummed log files under
 // Dir, the in-memory view is tiered so only tracks alive within the
 // hot horizon keep their full per-frame state resident, checkpoints
-// reference the sealed-log position instead of embedding the view, and
+// reference the sealed-log position the view is replayed from, and
 // AsOf serves time-travel queries by replaying segments.
 type HistoryConfig struct {
 	// Dir is the history directory (one per session; the serving layer
@@ -66,15 +65,15 @@ func (hc *HistoryConfig) validate(windowLen int) error {
 	return nil
 }
 
-// history is a session's live history machinery: the on-disk log, the
-// tiered view fed in lockstep with it, and the first I/O failure (the
-// log and the in-memory state can no longer be guaranteed to agree, so
-// checkpoints are refused until the session is rebuilt).
+// history is a session's live history machinery: the on-disk log, which
+// journals the view feed and is the cold store of the session's tiered
+// view, and the first I/O failure (the log and the in-memory state can
+// no longer be guaranteed to agree, so checkpoints are refused until the
+// session is rebuilt).
 type history struct {
 	cfg     HistoryConfig
 	horizon int
 	log     *histlog.Log
-	tier    *trackdb.TieredView
 	scratch []histlog.Extend // per-window journal buffer, reused
 	// compactions counts successful log compactions. A compaction moves
 	// the retention boundary, so any checkpoint sealed before it can no
@@ -92,9 +91,9 @@ func (h *history) fail(err error) {
 	}
 }
 
-// newHistory opens the session's history log (wiping any previous
-// session's segments in the directory — a fresh session starts at
-// window 0) and wraps a fresh tiered view over it.
+// newHistory opens the session's history log, wiping any previous
+// session's segments in the directory: a fresh session starts at
+// window 0.
 func newHistory(cfg Config) (*history, error) {
 	hc := *cfg.History
 	log, err := histlog.Open(hc.Dir, histlog.Options{WindowsPerSegment: hc.WindowsPerSegment})
@@ -108,83 +107,70 @@ func newHistory(cfg Config) (*history, error) {
 		cfg:     hc,
 		horizon: hc.horizonFrames(cfg.WindowLen),
 		log:     log,
-		tier:    trackdb.NewTieredView(nil, log),
 	}, nil
 }
 
 // restoreHistory rebuilds a session's history machinery from a
 // checkpoint reference: cut the on-disk log back to exactly the
-// position the checkpoint covers, replay the view from segments, and
-// re-tier it at the restored horizon.
-func restoreHistory(cfg Config, st *checkpoint.SessionState) (*history, error) {
+// position the checkpoint covers and replay the view from segments,
+// fully hot (Restore re-tiers it).
+func restoreHistory(cfg Config, st *sessionState) (*history, *trackdb.TieredView, error) {
 	ref := st.History
 	hc := *cfg.History
 	horizon := hc.horizonFrames(cfg.WindowLen)
 	if ref.HotHorizon != horizon {
-		return nil, fmt.Errorf("ingest: restore: checkpoint history horizon %d, config resolves to %d", ref.HotHorizon, horizon)
+		return nil, nil, fmt.Errorf("ingest: restore: checkpoint history horizon %d, config resolves to %d", ref.HotHorizon, horizon)
 	}
 	if ref.Windows < 0 || ref.Seq < 0 {
-		return nil, fmt.Errorf("ingest: restore: negative history reference (windows %d, seq %d)", ref.Windows, ref.Seq)
+		return nil, nil, fmt.Errorf("ingest: restore: negative history reference (windows %d, seq %d)", ref.Windows, ref.Seq)
 	}
 	if ref.Windows != st.NextWindow {
-		return nil, fmt.Errorf("ingest: restore: history covers %d windows, session committed %d", ref.Windows, st.NextWindow)
+		return nil, nil, fmt.Errorf("ingest: restore: history covers %d windows, session committed %d", ref.Windows, st.NextWindow)
 	}
 	if want := st.Merger.EventBase + len(st.Merger.Events); ref.Seq != want {
-		return nil, fmt.Errorf("ingest: restore: history seq %d, merger log ends at %d", ref.Seq, want)
+		return nil, nil, fmt.Errorf("ingest: restore: history seq %d, merger log ends at %d", ref.Seq, want)
 	}
 	log, err := histlog.Open(hc.Dir, histlog.Options{WindowsPerSegment: hc.WindowsPerSegment})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := log.TruncateTo(ref.Windows, ref.Seq); err != nil {
-		return nil, fmt.Errorf("ingest: restore: %w", err)
+		return nil, nil, fmt.Errorf("ingest: restore: %w", err)
 	}
 	view, err := log.ReplayView(-1)
 	if err != nil {
-		return nil, fmt.Errorf("ingest: restore: %w", err)
+		return nil, nil, fmt.Errorf("ingest: restore: %w", err)
 	}
 	if view.Seq() != ref.Seq {
-		return nil, fmt.Errorf("ingest: restore: segment replay ended at seq %d, checkpoint references %d", view.Seq(), ref.Seq)
+		return nil, nil, fmt.Errorf("ingest: restore: segment replay ended at seq %d, checkpoint references %d", view.Seq(), ref.Seq)
 	}
-	return &history{
-		cfg:     hc,
-		horizon: horizon,
-		log:     log,
-		tier:    trackdb.NewTieredView(view, log),
-	}, nil
+	return &history{cfg: hc, horizon: horizon, log: log}, trackdb.NewTieredView(view, log), nil
 }
 
-// beginWindow resets the per-window journal buffer.
-func (h *history) beginWindow() { h.scratch = h.scratch[:0] }
-
-// extend journals one view extension and feeds it to the tiered view.
-// The journal append is unconditional — the log is the durable source
-// of truth — while a tier failure (cold-store I/O during rehydration)
-// degrades the in-memory view and is recorded.
-func (h *history) extend(id video.TrackID, b video.BBox) {
-	c := b.Rect.Center()
-	h.scratch = append(h.scratch, histlog.Extend{Track: id, Frame: b.Frame, CX: c.X, CY: c.Y, Class: b.Class})
-	if err := h.tier.ExtendCell(id, b.Frame, b.Class, c.X, c.Y); err != nil {
-		h.fail(err)
-	}
+// journal appends one view extension to the window's journal entry.
+// The journal is the durable source of truth: the append is
+// unconditional, whatever happens to the in-memory view.
+func (h *history) journal(id video.TrackID, frame video.FrameIndex, class video.ClassID, cx, cy float64) {
+	h.scratch = append(h.scratch, histlog.Extend{Track: id, Frame: frame, CX: cx, CY: cy, Class: class})
 }
 
 // commitWindow finishes one window's history work: journal the window
-// entry (extensions collected by extend plus the window's merge
-// events), evict hot tracks that aged out of the horizon, trim the
-// in-memory merger log to the sealed prefix, and fold segments when
+// entry (extensions collected by journal plus the window's merge
+// events), evict hot tracks of view that aged out of the horizon, trim
+// the in-memory merger log to the sealed prefix, and fold segments when
 // the compaction policy fires. Called after the window's events were
-// applied to the tiered view and its deltas drained.
-func (h *history) commitWindow(m *core.Merger, w video.Window, events []core.MergeEvent) {
+// applied to the view and its deltas drained.
+func (h *history) commitWindow(view *trackdb.TieredView, m *core.Merger, w video.Window, events []core.MergeEvent) {
 	entry := histlog.WindowEntry{Window: w, Events: events}
 	if len(h.scratch) > 0 {
 		entry.Extends = append([]histlog.Extend(nil), h.scratch...)
+		h.scratch = h.scratch[:0]
 	}
 	if err := h.log.AppendWindow(entry); err != nil {
 		h.fail(err)
 		return
 	}
-	h.tier.EvictBefore(w.End + 1 - video.FrameIndex(h.horizon))
+	view.EvictBefore(w.End + 1 - video.FrameIndex(h.horizon))
 	m.TrimEvents(h.log.SealedSeq())
 	if h.cfg.CompactEvery > 0 && h.log.SealedRawSegments() >= h.cfg.CompactEvery {
 		if err := h.log.Compact(); err != nil {
@@ -214,8 +200,7 @@ func (in *Ingestor) HistoryStats() (hotTracks, coldTracks, hotCells int, tier tr
 	if in.hist == nil {
 		return 0, 0, 0, trackdb.TierStats{}
 	}
-	tv := in.hist.tier
-	return tv.HotTracks(), tv.ColdTracks(), tv.HotCells(), tv.Stats()
+	return in.view.HotTracks(), in.view.ColdTracks(), in.view.HotCells(), in.view.Stats()
 }
 
 // AsOf reconstructs the merged-track view at the time-travel cut "all

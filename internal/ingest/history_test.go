@@ -121,7 +121,7 @@ func TestHistorySessionEquivalentToPlain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReplayView: %v", err)
 			}
-			if !reflect.DeepEqual(rv.State(), plain.view.State()) {
+			if !reflect.DeepEqual(rv.State(), plain.view.Hot().State()) {
 				t.Fatal("replayed view state diverged from the plain session's live view")
 			}
 

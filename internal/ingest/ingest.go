@@ -102,37 +102,37 @@ func (cfg Config) Validate() error {
 
 // WindowResult reports one processed window.
 type WindowResult struct {
-	Window   video.Window
-	Pairs    int
-	Selected []video.PairKey
-	Merged   []video.PairKey // selected pairs that passed inspection
+	Window   video.Window    `json:"window"`
+	Pairs    int             `json:"pairs"`
+	Selected []video.PairKey `json:"selected,omitempty"`
+	Merged   []video.PairKey `json:"merged,omitempty"` // selected pairs that passed inspection
 	// Degraded reports that the ReID device was unavailable while this
 	// window was certified and Selected was ranked by the spatial prior
 	// alone (see core.RunWindows). The stream keeps flowing; the next
 	// window retries the oracle path.
-	Degraded bool
+	Degraded bool `json:"degraded,omitempty"`
 	// Quarantined counts detections (and frame-level rejects) quarantined
 	// since the previous window closed.
-	Quarantined int
+	Quarantined int `json:"quarantined,omitempty"`
 	// Events is this window's slice of the merger's ordered union log:
 	// the effective unions committing this window caused, in commit
 	// order (see core.MergeEvent). Always populated, with or without
 	// subscriptions, so downstream consumers can maintain their own
 	// materialised views. The slice aliases the merger's append-only log
 	// and must not be modified.
-	Events []core.MergeEvent
+	Events []core.MergeEvent `json:"events,omitempty"`
 	// Queries carries the incremental output of every subscription for
 	// this window, in subscription registration order. Empty when the
 	// session has no subscriptions.
-	Queries []QueryDeltas
+	Queries []QueryDeltas `json:"queries,omitempty"`
 }
 
 // QueryDeltas is one subscription's delta output for one window: the
 // result rows the window's track extensions and merges newly qualified
 // (asserts) or withdrew (retracts — identity coalescing under a merge).
 type QueryDeltas struct {
-	Name   string
-	Deltas []query.Delta
+	Name   string        `json:"name"`
+	Deltas []query.Delta `json:"deltas,omitempty"`
 }
 
 // Ingestor is an online ingestion session. It is not safe for concurrent
@@ -170,18 +170,22 @@ type Ingestor struct {
 	quar     *quarantine
 	quarMark int // quarantine total at the last window close
 
-	// view is the live materialised merged-track view, created lazily by
-	// the first Subscribe (or by Restore) and advanced at every window
-	// commit: track extensions first, then the window's merge events.
-	// Nil in history mode, where hist.tier plays its role.
-	view *trackdb.LiveView
-	// hist is the log-structured history machinery (on-disk journal +
-	// tiered view), present iff cfg.History is set. Created eagerly at
-	// New/Restore: the journal must cover every window from 0.
+	// view is the session's merged-track view, the one query operators
+	// run against, advanced at every window commit: track extensions
+	// first, then the window's merge events. History sessions create it
+	// at New/Restore over the history log, which tiers it. Plain sessions
+	// create it on the first Subscribe, without a cold store, and never
+	// evict it; Restore rebuilds it when the checkpointed session had one.
+	// It is never checkpointed.
+	view *trackdb.TieredView
+	// hist is the log-structured history machinery (the on-disk journal),
+	// present iff cfg.History is set. Created eagerly at New/Restore: the
+	// journal must cover every window from 0.
 	hist *history
 	// fed counts, per live stream track, how many of its boxes have been
-	// folded into the view — the incremental feed cursor. A track's
-	// entry goes when it retires: by then every box is in the view.
+	// folded into the view — the incremental feed cursor; nil while the
+	// session has no view. A track's entry goes when it retires: by then
+	// every box is in the view.
 	fed  map[video.TrackID]int
 	subs []subscription
 	// pendingOps parks checkpointed operator states between Restore and
@@ -226,6 +230,7 @@ func New(engine *track.Engine, oracle *reid.Oracle, cfg Config) (*Ingestor, erro
 			return nil, err
 		}
 		in.hist = h
+		in.view = trackdb.NewTieredView(nil, h.log)
 		in.fed = make(map[video.TrackID]int)
 	}
 	return in, nil
@@ -444,38 +449,38 @@ func (in *Ingestor) retire(start video.FrameIndex) {
 	in.oracle.RetainFeatures(in.keep)
 }
 
-// commitWindow advances the session's view (plain or tiered) and its
-// subscriptions past one merged window, filling res.Queries.
+// commitWindow advances the session's view and its subscriptions past
+// one merged window, filling res.Queries, and journals the window in
+// history mode. Sessions without a view have nothing to advance.
 func (in *Ingestor) commitWindow(res *WindowResult) {
-	switch {
-	case in.hist != nil:
-		h := in.hist
-		h.beginWindow()
-		in.feedBoxes(res.Window.End)
-		if err := h.tier.ApplyEvents(res.Events); err != nil {
-			// Unlike the plain view below, the tiered view can fail on
-			// I/O (cold-store paging during rehydration); that degrades
-			// the session instead of crashing it.
-			h.fail(err)
-		}
-		changed, removed := h.tier.Flush()
-		for _, s := range in.subs {
-			res.Queries = append(res.Queries, QueryDeltas{Name: s.name, Deltas: s.op.Apply(h.tier, changed, removed)})
-		}
-		h.commitWindow(in.merger, res.Window, res.Events)
-	case in.view != nil:
-		in.feedBoxes(res.Window.End)
-		if err := in.view.ApplyEvents(res.Events); err != nil {
-			// Every merged track starts in this window's first half, so
-			// the feed above has shown the view both sides of every
-			// event; a failure here is a broken invariant, not input.
-			panic(fmt.Sprintf("ingest: live view diverged from merger: %v", err))
-		}
-		changed, removed := in.view.Flush()
-		for _, s := range in.subs {
-			res.Queries = append(res.Queries, QueryDeltas{Name: s.name, Deltas: s.op.Apply(in.view, changed, removed)})
-		}
+	if in.view == nil {
+		return
 	}
+	in.feedBoxes(res.Window.End)
+	// Every merged track starts in this window's first half, so the feed
+	// above has shown the view both sides of every event.
+	in.checkView(in.view.ApplyEvents(res.Events))
+	changed, removed := in.view.Flush()
+	for _, s := range in.subs {
+		res.Queries = append(res.Queries, QueryDeltas{Name: s.name, Deltas: s.op.Apply(in.view, changed, removed)})
+	}
+	if in.hist != nil {
+		in.hist.commitWindow(in.view, in.merger, res.Window, res.Events)
+	}
+}
+
+// checkView handles a failed view update. A history session's tiered
+// view can fail on I/O (cold-store paging during rehydration), which
+// degrades the session instead of crashing it. A plain view has no cold
+// store, so a failure there is a broken invariant, not input.
+func (in *Ingestor) checkView(err error) {
+	if err == nil {
+		return
+	}
+	if in.hist == nil {
+		panic(fmt.Sprintf("ingest: view diverged from merger: %v", err))
+	}
+	in.hist.fail(err)
 }
 
 // Subscribe registers an incremental query operator under a unique name.
@@ -504,7 +509,9 @@ func (in *Ingestor) Subscribe(name string, op query.Incremental) ([]query.Delta,
 			return nil, fmt.Errorf("ingest: duplicate subscription %q", name)
 		}
 	}
-	in.ensureView()
+	if in.view == nil {
+		in.checkView(in.buildView(func() { in.feedBoxes(in.lastClosedEnd()) }))
+	}
 	if st, ok := in.pendingOps[name]; ok {
 		if err := op.RestoreState(st); err != nil {
 			return nil, fmt.Errorf("ingest: subscription %q: %w", name, err)
@@ -513,8 +520,7 @@ func (in *Ingestor) Subscribe(name string, op query.Incremental) ([]query.Delta,
 		in.subs = append(in.subs, subscription{name: name, op: op})
 		return nil, nil
 	}
-	v := in.queryView()
-	deltas := op.Apply(v, v.IDs(), nil)
+	deltas := op.Apply(in.view, in.view.IDs(), nil)
 	in.subs = append(in.subs, subscription{name: name, op: op})
 	return deltas, nil
 }
@@ -541,45 +547,32 @@ func (in *Ingestor) Operator(name string) query.Incremental {
 	return nil
 }
 
-// queryView returns the track view query operators run against: the
-// tiered view in history mode, the plain live view otherwise (nil when
-// neither exists yet).
-func (in *Ingestor) queryView() query.TrackView {
-	if in.hist != nil {
-		return in.hist.tier
-	}
-	if in.view == nil {
-		return nil
-	}
-	return in.view
-}
-
-// ensureView creates the live view on first use and backfills it to the
-// session's current committed state: every retired box, every stream box
-// up to the last closed window's end, then the full merge-event log.
-// History sessions maintain their (tiered) view from window 0, so this
-// is a no-op there.
-func (in *Ingestor) ensureView() {
-	if in.view != nil || in.hist != nil {
-		return
-	}
-	in.view = trackdb.NewLiveView()
+// buildView creates a plain session's view — no cold store, never
+// evicted — from state the session already holds: every retired box,
+// the live boxes feed folds in (advancing the feed cursors), then the
+// merger's whole event log, which plain sessions never trim. The view's
+// state depends only on the boxes and events folded in, not on their
+// interleaving, so this is the view an incremental feed of the same
+// boxes and events would hold. The first Subscribe feeds every live box
+// up to the last committed window's End; Restore feeds exactly the
+// checkpointed cursors.
+func (in *Ingestor) buildView(feed func()) error {
+	in.view = trackdb.NewTieredView(nil, nil)
 	in.fed = make(map[video.TrackID]int)
 	for _, t := range in.retired {
 		for _, b := range t.Boxes {
-			in.view.Extend(t.ID, b)
+			in.extend(t.ID, b)
 		}
 	}
-	if end := in.lastClosedEnd(); end >= 0 {
-		in.feedBoxes(end)
-	}
+	feed()
 	if err := in.view.ApplyEvents(in.merger.Events()); err != nil {
-		panic(fmt.Sprintf("ingest: live view diverged from merger: %v", err))
+		return err
 	}
 	in.view.Flush()
+	return nil
 }
 
-// feedBoxes advances the live view to frame end: every stream box with
+// feedBoxes advances the view to frame end: every live stream box with
 // Frame <= end not yet folded in is applied as a track extension, in
 // frame order within each track. The fed cursors make the walk
 // incremental — each box is fed exactly once across the session.
@@ -587,17 +580,31 @@ func (in *Ingestor) feedBoxes(end video.FrameIndex) {
 	for _, t := range sortTracks(in.stream.Snapshot()) {
 		n := in.fed[t.ID]
 		for n < len(t.Boxes) && t.Boxes[n].Frame <= end {
-			if in.hist != nil {
-				in.hist.extend(t.ID, t.Boxes[n])
-			} else {
-				in.view.Extend(t.ID, t.Boxes[n])
-			}
 			n++
 		}
-		if n != in.fed[t.ID] {
-			in.fed[t.ID] = n
-		}
+		in.feedTo(t, n)
 	}
+}
+
+// feedTo folds t's boxes from its feed cursor up to index n into the
+// view and moves the cursor to n.
+func (in *Ingestor) feedTo(t *video.Track, n int) {
+	for i := in.fed[t.ID]; i < n; i++ {
+		in.extend(t.ID, t.Boxes[i])
+	}
+	if n != in.fed[t.ID] {
+		in.fed[t.ID] = n
+	}
+}
+
+// extend folds one box of track id into the view, journaling it first
+// in history mode.
+func (in *Ingestor) extend(id video.TrackID, b video.BBox) {
+	c := b.Rect.Center()
+	if in.hist != nil {
+		in.hist.journal(id, b.Frame, b.Class, c.X, c.Y)
+	}
+	in.checkView(in.view.ExtendCell(id, b.Frame, b.Class, c.X, c.Y))
 }
 
 // lastClosedEnd returns the End of the most recently committed window,

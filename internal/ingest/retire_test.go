@@ -88,36 +88,51 @@ func TestLongHorizonFingerprintsPinned(t *testing.T) {
 	}
 }
 
-// TestCheckpointGrowthBounded: a history session's checkpoint tracks its
-// hot state, not the stream. On the longhorizon profile (flat live
+// TestCheckpointGrowthBounded: a session's checkpoint tracks its hot
+// state, not the stream. On the longhorizon profile (flat live
 // population, track count growing with the stream) the last checkpoint
-// at 2,400 frames is at most twice the one at 600 frames. Before
-// sessions retired tracks and evicted dead feature-cache entries the
-// ratio was about 4.2 — every finished hypothesis with its per-box Obs
-// and every cached embedding rode along.
+// at 2,400 frames is at most twice the one at 600 frames, for a history
+// session and for a plain session with a standing subscription (whose
+// checkpoints once embedded the whole view). Before sessions retired
+// tracks and evicted dead feature-cache entries the ratio was about 4.2
+// — every finished hypothesis with its per-box Obs and every cached
+// embedding rode along.
 func TestCheckpointGrowthBounded(t *testing.T) {
 	if testing.Short() {
-		t.Skip("2,400-frame session")
+		t.Skip("2,400-frame sessions")
 	}
 	v, window := longHorizon(t, 1, 2400)
-	var last, at600 int
-	in, err := New(track.Tracktor(), longHorizonOracle(), longHorizonConfig(window, &HistoryConfig{Dir: t.TempDir()},
-		func(data []byte) error { last = len(data); return nil }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for f, dets := range v.Detections {
-		in.PushAt(video.FrameIndex(f), dets)
-		if f == 599 {
-			at600 = last
-		}
-	}
-	if err := in.CheckpointErr(); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("last checkpoint: %d bytes at 600 frames, %d at 2,400 (ratio %.2f)", at600, last, float64(last)/float64(at600))
-	if at600 == 0 || last > 2*at600 {
-		t.Errorf("last checkpoint grew from %d bytes at 600 frames to %d at 2,400: more than 2×", at600, last)
+	for _, mode := range []string{"history", "plain-subscribed"} {
+		t.Run(mode, func(t *testing.T) {
+			var last, at600 int
+			var hist *HistoryConfig
+			if mode == "history" {
+				hist = &HistoryConfig{Dir: t.TempDir()}
+			}
+			in, err := New(track.Tracktor(), longHorizonOracle(), longHorizonConfig(window, hist,
+				func(data []byte) error { last = len(data); return nil }))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hist == nil {
+				if _, err := in.Subscribe("count", query.NewIncCount(query.CountQuery{MinFrames: 30})); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for f, dets := range v.Detections {
+				in.PushAt(video.FrameIndex(f), dets)
+				if f == 599 {
+					at600 = last
+				}
+			}
+			if err := in.CheckpointErr(); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("last checkpoint: %d bytes at 600 frames, %d at 2,400 (ratio %.2f)", at600, last, float64(last)/float64(at600))
+			if at600 == 0 || last > 2*at600 {
+				t.Errorf("last checkpoint grew from %d bytes at 600 frames to %d at 2,400: more than 2×", at600, last)
+			}
+		})
 	}
 }
 

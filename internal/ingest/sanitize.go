@@ -4,7 +4,6 @@ import (
 	"math"
 	"sync"
 
-	"github.com/tmerge/tmerge/internal/checkpoint"
 	"github.com/tmerge/tmerge/internal/video"
 )
 
@@ -42,9 +41,9 @@ const DefaultQuarantineCap = 256
 // RejectedDetection is one quarantined input: the detection as received,
 // the frame index it was pushed at, and the reason it was refused.
 type RejectedDetection struct {
-	Frame  video.FrameIndex
-	Det    video.BBox
-	Reason string
+	Frame  video.FrameIndex `json:"frame"`
+	Det    video.BBox       `json:"det"`
+	Reason string           `json:"reason"`
 }
 
 // QuarantineReport is a detached snapshot of the quarantine ledger.
@@ -161,13 +160,14 @@ func (q *quarantine) report() QuarantineReport {
 	return r
 }
 
-func (q *quarantine) state() checkpoint.QuarantineState {
+func (q *quarantine) state() quarantineState {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	st := checkpoint.QuarantineState{
+	st := quarantineState{
 		Cap:           q.cap,
 		TotalRejected: q.total,
 		Dropped:       q.dropped,
+		Rejected:      append([]RejectedDetection(nil), q.rejected...),
 	}
 	if len(q.counts) > 0 {
 		st.Counts = make(map[string]int, len(q.counts))
@@ -175,22 +175,17 @@ func (q *quarantine) state() checkpoint.QuarantineState {
 			st.Counts[k] = v
 		}
 	}
-	for _, r := range q.rejected {
-		st.Rejected = append(st.Rejected, checkpoint.RejectedRecord{Frame: r.Frame, Det: r.Det, Reason: r.Reason})
-	}
 	return st
 }
 
-func quarantineFromState(st checkpoint.QuarantineState) *quarantine {
+func quarantineFromState(st quarantineState) *quarantine {
 	q := newQuarantine(st.Cap)
 	q.total = st.TotalRejected
 	q.dropped = st.Dropped
 	for k, v := range st.Counts {
 		q.counts[k] = v
 	}
-	for _, r := range st.Rejected {
-		q.rejected = append(q.rejected, RejectedDetection{Frame: r.Frame, Det: r.Det, Reason: r.Reason})
-	}
+	q.rejected = st.Rejected
 	return q
 }
 

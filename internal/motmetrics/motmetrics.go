@@ -72,20 +72,6 @@ func PolyonymousRate(ps *video.PairSet) float64 {
 	return float64(len(PolyonymousPairs(ps))) / float64(ps.Len())
 }
 
-// ResidualRate returns the Polyonymous Rate after merging: the fraction of
-// pairs in ps that are polyonymous and NOT contained in the selected
-// candidate set (Polyonymous Rate|TMerge in §V-G).
-func ResidualRate(ps *video.PairSet, selected []video.PairKey) float64 {
-	if ps.Len() == 0 {
-		return 0
-	}
-	truth := PolyonymousPairs(ps)
-	for _, k := range selected {
-		delete(truth, k)
-	}
-	return float64(len(truth)) / float64(ps.Len())
-}
-
 // IdentityMetrics holds the identity-based scores of Ristani et al.
 type IdentityMetrics struct {
 	IDTP, IDFP, IDFN int

@@ -175,18 +175,6 @@ func Quantile(xs []float64, q float64) float64 {
 	return s[lo]*(1-frac) + s[hi]*frac
 }
 
-// Mean returns the arithmetic mean of xs (0 for an empty slice).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var t float64
-	for _, x := range xs {
-		t += x
-	}
-	return t / float64(len(xs))
-}
-
 // Clamp01 clamps x to the unit interval.
 func Clamp01(x float64) float64 {
 	if x < 0 {

@@ -228,3 +228,15 @@ func TestPearsonProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// Mean returns the arithmetic mean of xs (0 for an empty slice).
+func Mean(xs []float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	var t float64
+	for _, x := range xs {
+		t += x
+	}
+	return t / float64(len(xs))
+}

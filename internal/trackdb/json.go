@@ -7,7 +7,6 @@ import (
 	"io"
 	"os"
 
-	"github.com/tmerge/tmerge/internal/geom"
 	"github.com/tmerge/tmerge/internal/video"
 )
 
@@ -82,56 +81,4 @@ func (s *Store) Encode(w io.Writer) error {
 		return fmt.Errorf("trackdb: encode: %w", err)
 	}
 	return nil
-}
-
-// Load reads a store previously written by Save.
-func Load(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("trackdb: load: %w", err)
-	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("trackdb: load: %w", err)
-	}
-	defer gz.Close()
-	return Decode(gz)
-}
-
-// Decode reads a store from (uncompressed) JSON. Untrusted input is
-// validated record by record: every box must pass video.BBox.Validate
-// (finite geometry, positive size), every track its own invariants, and
-// track IDs must be unique. A hostile file is rejected with a
-// descriptive error; it can never panic the decoder or plant a
-// non-finite value in the store.
-func Decode(r io.Reader) (*Store, error) {
-	var in jsonStore
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return nil, fmt.Errorf("trackdb: decode: %w", err)
-	}
-	s := New()
-	for _, jt := range in.Tracks {
-		if s.Get(jt.ID) != nil {
-			return nil, fmt.Errorf("trackdb: decode: duplicate track %d", jt.ID)
-		}
-		t := &video.Track{ID: jt.ID}
-		for _, jb := range jt.Boxes {
-			b := video.BBox{
-				ID:       jb.ID,
-				Frame:    jb.Frame,
-				Rect:     geom.Rect{X: jb.X, Y: jb.Y, W: jb.W, H: jb.H},
-				Class:    jb.Class,
-				GTObject: jb.GT,
-			}
-			if err := b.Validate(); err != nil {
-				return nil, fmt.Errorf("trackdb: decode: track %d: %w", jt.ID, err)
-			}
-			t.Boxes = append(t.Boxes, b)
-		}
-		if err := s.Put(t); err != nil {
-			return nil, fmt.Errorf("trackdb: decode: %w", err)
-		}
-	}
-	return s, nil
 }

@@ -49,7 +49,9 @@ const pagedCap = 8
 // first, so correctness never depends on the horizon; the horizon only
 // controls how often that (disk-reading) slow path runs. Sessions keep
 // it at a couple of window lengths, where merges only ever touch
-// still-hot groups and rehydration is a cold-start corner case.
+// still-hot groups and rehydration is a cold-start corner case. With
+// no cold store and no EvictBefore call it is just its hot LiveView,
+// which is how a plain ingest session uses it.
 //
 // TieredView is not safe for concurrent use.
 type TieredView struct {
@@ -199,15 +201,10 @@ func buildLiveTrack(vt ViewTrack, members []video.TrackID) (*liveTrack, error) {
 	return t, nil
 }
 
-// Extend folds one new box, rehydrating the target group first if it
+// ExtendCell folds one new box, reduced to the fields the view keeps
+// (see LiveView.ExtendCell), rehydrating the target group first if it
 // was evicted. It reports any cold-store failure; extensions of hot
 // groups cannot fail.
-func (tv *TieredView) Extend(id video.TrackID, b video.BBox) error {
-	center := b.Rect.Center()
-	return tv.ExtendCell(id, b.Frame, b.Class, center.X, center.Y)
-}
-
-// ExtendCell is Extend on the reduced box representation.
 func (tv *TieredView) ExtendCell(id video.TrackID, frame video.FrameIndex, class video.ClassID, cx, cy float64) error {
 	c := tv.hot.Canonical(id)
 	if err := tv.rehydrate(c); err != nil {

@@ -34,30 +34,11 @@ func Add(dst, v, w Vec) Vec {
 	return dst
 }
 
-// Sub stores v - w into dst and returns dst.
-func Sub(dst, v, w Vec) Vec {
-	checkLen(len(dst), len(v))
-	checkLen(len(v), len(w))
-	for i := range v {
-		dst[i] = v[i] - w[i]
-	}
-	return dst
-}
-
 // Scale stores s*v into dst and returns dst.
 func Scale(dst Vec, s float64, v Vec) Vec {
 	checkLen(len(dst), len(v))
 	for i := range v {
 		dst[i] = s * v[i]
-	}
-	return dst
-}
-
-// AXPY stores dst + s*v into dst and returns dst.
-func AXPY(dst Vec, s float64, v Vec) Vec {
-	checkLen(len(dst), len(v))
-	for i := range v {
-		dst[i] += s * v[i]
 	}
 	return dst
 }

@@ -150,3 +150,22 @@ func almostEqRel(a, b float64) bool {
 	m := math.Max(math.Abs(a), math.Abs(b))
 	return d <= 1e-9*m
 }
+
+// AXPY stores dst + s*v into dst and returns dst.
+func AXPY(dst Vec, s float64, v Vec) Vec {
+	checkLen(len(dst), len(v))
+	for i := range v {
+		dst[i] += s * v[i]
+	}
+	return dst
+}
+
+// Sub stores v - w into dst and returns dst.
+func Sub(dst, v, w Vec) Vec {
+	checkLen(len(dst), len(v))
+	checkLen(len(v), len(w))
+	for i := range v {
+		dst[i] = v[i] - w[i]
+	}
+	return dst
+}

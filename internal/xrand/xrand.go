@@ -52,13 +52,6 @@ func (r *RNG) SetState(st State) {
 	r.spare = st.Spare
 }
 
-// FromState returns a new RNG resuming from the snapshot.
-func FromState(st State) *RNG {
-	r := &RNG{}
-	r.SetState(st)
-	return r
-}
-
 // golden gamma increment of SplitMix64.
 const gamma = 0x9E3779B97F4A7C15
 
