@@ -18,9 +18,9 @@ import (
 
 // HistBenchConfig pins one log-structured-history benchmark: a
 // synthetic long-horizon stream fed straight through the storage spine
-// (trackdb.TieredView over a histlog.Log — the layer ingest sessions
-// wrap), with enough windows that the hot tier must stay flat while
-// total track count grows into the millions. The benchmark measures
+// (a trackdb.LiveView with a histlog.Log as its cold store — the layer
+// ingest sessions drive), with enough windows that the hot tier must
+// stay flat while total track count grows into the millions. The benchmark measures
 // bounded-memory behaviour (hot-cell ceiling, heap growth per track),
 // compaction traffic, and AsOf time-travel latency, and verifies that
 // the reconstructed historical view answers queries identically to the
@@ -236,7 +236,8 @@ func RunHistBench(cfg HistBenchConfig) (HistBenchRow, []GateStatus, error) {
 	if err := log.Reset(); err != nil {
 		return row, nil, err
 	}
-	tier := trackdb.NewTieredView(nil, log)
+	tier := trackdb.NewLiveView()
+	tier.AttachColdStore(log)
 	m := core.NewMerger()
 	rng := xrand.New(cfg.Seed)
 	horizon := video.FrameIndex(cfg.horizonFrames())
@@ -375,7 +376,7 @@ func heapGate(cfg *HistBenchConfig, row *HistBenchRow, heapBase, heapEnd uint64)
 // the retained frame range, answering the pinned count query over each
 // reconstructed view, and verifies the final cut's answer against the
 // live tiered view.
-func runAsOfProbes(cfg *HistBenchConfig, row *HistBenchRow, log *histlog.Log, tier *trackdb.TieredView) error {
+func runAsOfProbes(cfg *HistBenchConfig, row *HistBenchRow, log *histlog.Log, tier *trackdb.LiveView) error {
 	q := histCountQuery(cfg)
 	end := log.EndFrame()
 	lo := log.RetentionFrame()

@@ -2,6 +2,7 @@ package histlog
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -242,13 +243,38 @@ func TestLogSealReplayAndReopen(t *testing.T) {
 	mustEqualStates(t, re.State(), full.State(), "reopen replay")
 }
 
+// TestLogAsOf checks ReplayView and AsOf, the two stop conditions of
+// one walk, against a reference view at every boundary that walk
+// crosses: first over raw segments and an active tail, then over a
+// compacted base followed by a sealed raw segment and an active tail.
 func TestLogAsOf(t *testing.T) {
 	entries := genEntries(9)
 	l := openLog(t, t.TempDir())
 	appendAll(t, l, entries)
+	checkWalk(t, l, entries, 0)
 
-	// Every frame maps to the prefix of windows ending at or before it.
-	for frame := video.FrameIndex(0); frame <= 45; frame += 3 {
+	entries = genEntries(14)
+	l = openLog(t, t.TempDir())
+	appendAll(t, l, entries[:8])
+	if err := l.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	appendAll(t, l, entries[8:])
+	if l.RetentionFrame() != entries[7].Window.End || l.SealedRawSegments() != 1 || l.SealedWindows() != 12 {
+		t.Fatalf("log shape: retention %d, raw segments %d, sealed windows %d; want a base to window 8, one raw segment, an active tail",
+			l.RetentionFrame(), l.SealedRawSegments(), l.SealedWindows())
+	}
+	checkWalk(t, l, entries, 8)
+}
+
+// checkWalk compares, for a log holding entries whose first base
+// windows are compacted, AsOf at every frame (its cut and its view) and
+// ReplayView at every window count with the reference view, and checks
+// that both refuse cuts inside the base.
+func checkWalk(t *testing.T, l *Log, entries []WindowEntry, base int) {
+	t.Helper()
+	last := entries[len(entries)-1].Window.End
+	for frame := video.FrameIndex(0); frame <= last+2; frame++ {
 		upto := 0
 		wantCut := video.FrameIndex(-1)
 		for i := range entries {
@@ -258,13 +284,32 @@ func TestLogAsOf(t *testing.T) {
 			}
 		}
 		v, cut, err := l.AsOf(frame)
+		if upto < base {
+			if err == nil {
+				t.Fatalf("AsOf(%d) inside the compacted base succeeded", frame)
+			}
+			continue
+		}
 		if err != nil {
 			t.Fatalf("AsOf(%d): %v", frame, err)
 		}
 		if cut != wantCut {
 			t.Fatalf("AsOf(%d) cut at %d, want %d", frame, cut, wantCut)
 		}
-		mustEqualStates(t, v.State(), refView(t, entries, upto).State(), "AsOf")
+		mustEqualStates(t, v.State(), refView(t, entries, upto).State(), fmt.Sprintf("AsOf(%d)", frame))
+	}
+	for upto := 0; upto <= len(entries); upto++ {
+		v, err := l.ReplayView(upto)
+		if upto < base {
+			if err == nil {
+				t.Fatalf("ReplayView(%d) inside the compacted base succeeded", upto)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("ReplayView(%d): %v", upto, err)
+		}
+		mustEqualStates(t, v.State(), refView(t, entries, upto).State(), fmt.Sprintf("ReplayView(%d)", upto))
 	}
 }
 

@@ -2,6 +2,7 @@ package histlog
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -259,12 +260,11 @@ func (l *Log) readSegment(info SegmentInfo) (*Segment, error) {
 // fed them.
 func applyEntry(v *trackdb.LiveView, e *WindowEntry) error {
 	for _, x := range e.Extends {
-		v.ExtendCell(x.Track, x.Frame, x.Class, x.CX, x.CY)
+		if err := v.ExtendCell(x.Track, x.Frame, x.Class, x.CX, x.CY); err != nil {
+			return err
+		}
 	}
-	if err := v.ApplyEvents(e.Events); err != nil {
-		return err
-	}
-	return nil
+	return v.ApplyEvents(e.Events)
 }
 
 // ReplayView reconstructs the live view as of upto committed windows
@@ -280,64 +280,14 @@ func (l *Log) ReplayView(upto int) (*trackdb.LiveView, error) {
 	if upto > l.Windows() {
 		return nil, fmt.Errorf("histlog: replay to window %d, log covers %d", upto, l.Windows())
 	}
-	view, applied, err := l.replayBase(upto)
+	view, applied, _, err := l.replay(upto, maxFrame)
 	if err != nil {
 		return nil, err
-	}
-	for _, info := range l.man.Segments {
-		if info.Kind != KindRaw || applied >= upto {
-			continue
-		}
-		seg, err := l.readSegment(info)
-		if err != nil {
-			return nil, err
-		}
-		for i := range seg.Entries {
-			if applied >= upto {
-				break
-			}
-			if err := applyEntry(view, &seg.Entries[i]); err != nil {
-				return nil, err
-			}
-			applied++
-		}
-	}
-	for i := range l.active {
-		if applied >= upto {
-			break
-		}
-		if err := applyEntry(view, &l.active[i]); err != nil {
-			return nil, err
-		}
-		applied++
 	}
 	if applied != upto {
 		return nil, fmt.Errorf("histlog: replay applied %d windows, want %d", applied, upto)
 	}
-	view.Flush()
 	return view, nil
-}
-
-// replayBase seeds a replay: the restored base-segment view when one
-// exists (refusing targets it has compacted past), an empty view
-// otherwise. It returns the view and how many windows it covers.
-func (l *Log) replayBase(upto int) (*trackdb.LiveView, int, error) {
-	if len(l.man.Segments) == 0 || l.man.Segments[0].Kind != KindBase {
-		return trackdb.NewLiveView(), 0, nil
-	}
-	info := l.man.Segments[0]
-	if info.EndWindow > upto {
-		return nil, 0, fmt.Errorf("histlog: history before window %d was compacted away (replay target %d)", info.EndWindow, upto)
-	}
-	seg, err := l.readSegment(info)
-	if err != nil {
-		return nil, 0, err
-	}
-	view, err := trackdb.RestoreView(trackdb.ViewState{Seq: info.EndSeq, Tracks: seg.Tracks})
-	if err != nil {
-		return nil, 0, err
-	}
-	return view, info.EndWindow, nil
 }
 
 // AsOf reconstructs the view at the time-travel cut "all windows whose
@@ -347,56 +297,76 @@ func (l *Log) replayBase(upto int) (*trackdb.LiveView, int, error) {
 // the base's end frame), -1 when no window qualifies. Frames before
 // the retention boundary (a compacted base's end frame) are refused.
 func (l *Log) AsOf(frame video.FrameIndex) (*trackdb.LiveView, video.FrameIndex, error) {
-	if rf := l.RetentionFrame(); rf >= 0 && frame < rf {
-		return nil, 0, fmt.Errorf("histlog: frame %d is before the retention boundary %d (compacted away)", frame, rf)
-	}
-	view, applied, err := l.replayBase(l.Windows())
+	view, _, cut, err := l.replay(l.Windows(), frame)
 	if err != nil {
 		return nil, 0, err
 	}
-	cut := video.FrameIndex(-1)
-	if applied > 0 {
-		cut = l.man.Segments[0].EndFrame
-	}
-	done := false
-	for _, info := range l.man.Segments {
-		if info.Kind != KindRaw || done {
-			continue
+	return view, cut, nil
+}
+
+// maxFrame is a frame bound no window reaches.
+const maxFrame = video.FrameIndex(math.MaxInt)
+
+// replay is the one walk behind ReplayView and AsOf: the base segment's
+// view (an empty view when there is none), then the raw segments' and
+// the active tail's window entries in order, stopping before the first
+// entry past upto windows or ending after frame. It returns the view,
+// the windows it covers, and the last covered window's End (-1 when it
+// covers none). A cut inside the base segment is refused: that history
+// has been folded.
+func (l *Log) replay(upto int, frame video.FrameIndex) (*trackdb.LiveView, int, video.FrameIndex, error) {
+	view, applied, cut := trackdb.NewLiveView(), 0, video.FrameIndex(-1)
+	if len(l.man.Segments) > 0 && l.man.Segments[0].Kind == KindBase {
+		info := l.man.Segments[0]
+		if info.EndWindow > upto || info.EndFrame > frame {
+			return nil, 0, 0, fmt.Errorf("histlog: history before window %d (frame %d) was compacted away", info.EndWindow, info.EndFrame)
 		}
-		// A sealed segment whose last window still ends at or before the
-		// cut frame applies wholesale; only the segment straddling the cut
-		// needs per-entry inspection.
 		seg, err := l.readSegment(info)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, 0, err
 		}
-		for i := range seg.Entries {
-			e := &seg.Entries[i]
-			if e.Window.End > frame {
-				done = true
-				break
+		if view, err = trackdb.RestoreView(trackdb.ViewState{Seq: info.EndSeq, Tracks: seg.Tracks}); err != nil {
+			return nil, 0, 0, err
+		}
+		applied, cut = info.EndWindow, info.EndFrame
+	}
+	// walk applies entries up to the stop condition and reports whether
+	// it was reached. Window ends never decrease along the log, so once
+	// it is reached every later entry stops too.
+	walk := func(entries []WindowEntry) (bool, error) {
+		for i := range entries {
+			e := &entries[i]
+			if applied >= upto || e.Window.End > frame {
+				return true, nil
 			}
 			if err := applyEntry(view, e); err != nil {
-				return nil, 0, err
+				return true, err
 			}
-			cut = e.Window.End
+			applied, cut = applied+1, e.Window.End
+		}
+		return false, nil
+	}
+	for _, info := range l.man.Segments {
+		if info.Kind != KindRaw || applied >= upto {
+			continue
+		}
+		seg, err := l.readSegment(info)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		stop, err := walk(seg.Entries)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		if stop {
+			break
 		}
 	}
-	for i := range l.active {
-		if done {
-			break
-		}
-		e := &l.active[i]
-		if e.Window.End > frame {
-			break
-		}
-		if err := applyEntry(view, e); err != nil {
-			return nil, 0, err
-		}
-		cut = e.Window.End
+	if _, err := walk(l.active); err != nil {
+		return nil, 0, 0, err
 	}
 	view.Flush()
-	return view, cut, nil
+	return view, applied, cut, nil
 }
 
 // TruncateTo cuts the log back to exactly windows committed windows and
@@ -523,8 +493,8 @@ func (l *Log) Compact() error {
 // extension of the group's members, lower member winning contested
 // frames — the LiveView dedup rule, so the result is exactly the
 // ViewTrack a never-evicting view would serialise for this group.
-// members must be the group's complete raw-member set (the tiered view
-// tracks it even for cold identities).
+// members must be the group's complete raw-member set (the view keeps
+// it even for cold identities).
 func (l *Log) LoadColdTrack(canon video.TrackID, members []video.TrackID) (trackdb.ViewTrack, error) {
 	want := make(map[video.TrackID]bool, len(members))
 	for _, m := range members {

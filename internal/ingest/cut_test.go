@@ -23,13 +23,14 @@ import (
 )
 
 // viewState is the session's view state, nil when it has none. A plain
-// view is never evicted, so its hot view is the whole view; a history
-// view's hot view is the part the hot horizon keeps in memory.
+// view is never evicted, so its state is the whole view; a history
+// view's state is the hot tier, the part the hot horizon keeps in
+// memory.
 func viewState(in *Ingestor) *trackdb.ViewState {
 	if in.view == nil {
 		return nil
 	}
-	st := in.view.Hot().State()
+	st := in.view.State()
 	return &st
 }
 

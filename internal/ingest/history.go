@@ -112,9 +112,10 @@ func newHistory(cfg Config) (*history, error) {
 
 // restoreHistory rebuilds a session's history machinery from a
 // checkpoint reference: cut the on-disk log back to exactly the
-// position the checkpoint covers and replay the view from segments,
-// fully hot (Restore re-tiers it).
-func restoreHistory(cfg Config, st *sessionState) (*history, *trackdb.TieredView, error) {
+// position the checkpoint covers, replay the view from segments fully
+// hot, and attach the log to it as its cold store (Restore then evicts
+// it at the horizon).
+func restoreHistory(cfg Config, st *sessionState) (*history, *trackdb.LiveView, error) {
 	ref := st.History
 	hc := *cfg.History
 	horizon := hc.horizonFrames(cfg.WindowLen)
@@ -144,7 +145,8 @@ func restoreHistory(cfg Config, st *sessionState) (*history, *trackdb.TieredView
 	if view.Seq() != ref.Seq {
 		return nil, nil, fmt.Errorf("ingest: restore: segment replay ended at seq %d, checkpoint references %d", view.Seq(), ref.Seq)
 	}
-	return &history{cfg: hc, horizon: horizon, log: log}, trackdb.NewTieredView(view, log), nil
+	view.AttachColdStore(log)
+	return &history{cfg: hc, horizon: horizon, log: log}, view, nil
 }
 
 // journal appends one view extension to the window's journal entry.
@@ -160,7 +162,7 @@ func (h *history) journal(id video.TrackID, frame video.FrameIndex, class video.
 // the in-memory merger log to the sealed prefix, and fold segments when
 // the compaction policy fires. Called after the window's events were
 // applied to the view and its deltas drained.
-func (h *history) commitWindow(view *trackdb.TieredView, m *core.Merger, w video.Window, events []core.MergeEvent) {
+func (h *history) commitWindow(view *trackdb.LiveView, m *core.Merger, w video.Window, events []core.MergeEvent) {
 	entry := histlog.WindowEntry{Window: w, Events: events}
 	if len(h.scratch) > 0 {
 		entry.Extends = append([]histlog.Extend(nil), h.scratch...)
@@ -193,7 +195,7 @@ func (in *Ingestor) HistoryErr() error {
 	return in.hist.err
 }
 
-// HistoryStats reports the tiered view's bounded-memory accounting:
+// HistoryStats reports the view's bounded-memory accounting:
 // hot/cold track counts, resident cell count, and tiering traffic.
 // Zero values when the session has no history.
 func (in *Ingestor) HistoryStats() (hotTracks, coldTracks, hotCells int, tier trackdb.TierStats) {

@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -121,7 +123,7 @@ func TestHistorySessionEquivalentToPlain(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReplayView: %v", err)
 			}
-			if !reflect.DeepEqual(rv.State(), plain.view.Hot().State()) {
+			if !reflect.DeepEqual(rv.State(), plain.view.State()) {
 				t.Fatal("replayed view state diverged from the plain session's live view")
 			}
 
@@ -474,5 +476,43 @@ func TestHistoryRetentionAfterCompaction(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("every cut fell before the retention boundary; nothing was verified")
+	}
+}
+
+// TestHistoryColdPageFailureFailsSubscribe: a late region subscription
+// reads every identity's dwell, cold ones included, from the history
+// log. When a sealed segment is gone that read fails, and the failure
+// must surface: Subscribe returns it, the history is marked failed, and
+// checkpoints are refused — not a bootstrap silently missing rows.
+func TestHistoryColdPageFailureFailsSubscribe(t *testing.T) {
+	v := streamScene(t)
+	in := histSession(t, core.NewBaseline(), 1, &HistoryConfig{
+		Dir:               t.TempDir(),
+		HotHorizon:        800,
+		WindowsPerSegment: 2,
+	})
+	pushSceneTo(in, v.Detections)
+	if err := in.HistoryErr(); err != nil {
+		t.Fatal(err)
+	}
+	if _, cold, _, _ := in.HistoryStats(); cold == 0 {
+		t.Fatal("no cold tracks: the late subscription would not page anything")
+	}
+	segs, err := filepath.Glob(filepath.Join(in.hist.log.Dir(), "seg-*.ndjson"))
+	if err != nil || len(segs) == 0 {
+		t.Fatalf("no sealed segments on disk (%v)", err)
+	}
+	if err := os.Remove(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := in.Subscribe("region", query.NewIncRegion(sqRegion)); err == nil {
+		t.Fatal("late subscribe over an unreadable cold tier succeeded")
+	}
+	if in.HistoryErr() == nil {
+		t.Fatal("a failed cold page did not mark the history failed")
+	}
+	if _, err := in.Checkpoint(); err == nil {
+		t.Fatal("checkpoint sealed after a failed cold page")
 	}
 }

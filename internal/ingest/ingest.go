@@ -173,11 +173,12 @@ type Ingestor struct {
 	// view is the session's merged-track view, the one query operators
 	// run against, advanced at every window commit: track extensions
 	// first, then the window's merge events. History sessions create it
-	// at New/Restore over the history log, which tiers it. Plain sessions
-	// create it on the first Subscribe, without a cold store, and never
-	// evict it; Restore rebuilds it when the checkpointed session had one.
-	// It is never checkpointed.
-	view *trackdb.TieredView
+	// at New/Restore with the history log attached as its cold store, and
+	// evict it at the hot horizon. Plain sessions create it on the first
+	// Subscribe, without a cold store, and never evict it; Restore
+	// rebuilds it when the checkpointed session had one. It is never
+	// checkpointed.
+	view *trackdb.LiveView
 	// hist is the log-structured history machinery (the on-disk journal),
 	// present iff cfg.History is set. Created eagerly at New/Restore: the
 	// journal must cover every window from 0.
@@ -230,7 +231,8 @@ func New(engine *track.Engine, oracle *reid.Oracle, cfg Config) (*Ingestor, erro
 			return nil, err
 		}
 		in.hist = h
-		in.view = trackdb.NewTieredView(nil, h.log)
+		in.view = trackdb.NewLiveView()
+		in.view.AttachColdStore(h.log)
 		in.fed = make(map[video.TrackID]int)
 	}
 	return in, nil
@@ -355,23 +357,6 @@ func (in *Ingestor) pendingWindow() video.Window {
 	}
 }
 
-// windowTracks snapshots Tc for one window: tracks starting in the
-// window's first half, clipped to the window. Snapshot includes
-// still-active tracks; their boxes beyond w.End are excluded by
-// clipping, so the view is stable.
-func (in *Ingestor) windowTracks(w video.Window) []*video.Track {
-	var cur []*video.Track
-	for _, t := range sortTracks(in.stream.Snapshot()) {
-		if t.StartFrame() < w.Start || t.StartFrame() > w.FirstHalfEnd() {
-			continue
-		}
-		if c := video.ClipTrack(t, w.Start, w.End); c != nil {
-			cur = append(cur, c)
-		}
-	}
-	return cur
-}
-
 // processWindows runs the batch of windows one push (or Close) just
 // closed through the window engine (core.RunWindows). The usual batch
 // size is one; gaps that jump several window boundaries and the Close
@@ -389,7 +374,7 @@ func (in *Ingestor) processWindows(ws []video.Window) []WindowResult {
 	out := make([]WindowResult, len(ws))
 	pairSets := make([]*video.PairSet, len(ws))
 	for i, w := range ws {
-		cur := in.windowTracks(w)
+		cur := video.WindowTracks(video.NewTrackSet(in.stream.Snapshot()), w)
 		total := in.quar.totalCount()
 		pairSets[i] = video.BuildPairSet(w, cur, in.prevTc)
 		out[i] = WindowResult{Window: w, Pairs: pairSets[i].Len(), Quarantined: total - in.quarMark}
@@ -464,15 +449,16 @@ func (in *Ingestor) commitWindow(res *WindowResult) {
 	for _, s := range in.subs {
 		res.Queries = append(res.Queries, QueryDeltas{Name: s.name, Deltas: s.op.Apply(in.view, changed, removed)})
 	}
+	in.checkView(in.view.PageErr())
 	if in.hist != nil {
 		in.hist.commitWindow(in.view, in.merger, res.Window, res.Events)
 	}
 }
 
-// checkView handles a failed view update. A history session's tiered
-// view can fail on I/O (cold-store paging during rehydration), which
-// degrades the session instead of crashing it. A plain view has no cold
-// store, so a failure there is a broken invariant, not input.
+// checkView handles a failed view update or read. A history session's
+// view can fail on I/O (cold-store paging for a rehydration or a read),
+// which degrades the session instead of crashing it. A plain view has
+// no cold store, so a failure there is a broken invariant, not input.
 func (in *Ingestor) checkView(err error) {
 	if err == nil {
 		return
@@ -521,6 +507,10 @@ func (in *Ingestor) Subscribe(name string, op query.Incremental) ([]query.Delta,
 		return nil, nil
 	}
 	deltas := op.Apply(in.view, in.view.IDs(), nil)
+	if err := in.view.PageErr(); err != nil {
+		in.checkView(err)
+		return nil, fmt.Errorf("ingest: subscription %q: %w", name, err)
+	}
 	in.subs = append(in.subs, subscription{name: name, op: op})
 	return deltas, nil
 }
@@ -557,7 +547,7 @@ func (in *Ingestor) Operator(name string) query.Incremental {
 // up to the last committed window's End; Restore feeds exactly the
 // checkpointed cursors.
 func (in *Ingestor) buildView(feed func()) error {
-	in.view = trackdb.NewTieredView(nil, nil)
+	in.view = trackdb.NewLiveView()
 	in.fed = make(map[video.TrackID]int)
 	for _, t := range in.retired {
 		for _, b := range t.Boxes {

@@ -256,6 +256,29 @@ func TestDrainAbortStillCheckpoints(t *testing.T) {
 	checkNoGoroutineLeak(t, before)
 }
 
+// TestDrainCancelledCtxWhenIdle pins the abort contract when nothing is
+// left to flush: a ctx already cancelled when Drain starts makes Drain
+// return ctx's error even though the queues are drained, and the idle
+// stream still gets its final checkpoint.
+func TestDrainCancelledCtxWhenIdle(t *testing.T) {
+	before := runtime.NumGoroutine()
+	m := NewManager(Config{Workers: 1})
+	spec := StreamSpec{ID: "idle", Ingest: testIngestCfg(1, 8, 0), Pipeline: testPipeline(1, nil)}
+	if err := m.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ckpts, err := m.Drain(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("drain with a cancelled ctx: got %v, want context.Canceled", err)
+	}
+	if _, ok := ckpts["idle"]; !ok {
+		t.Fatal("drain with a cancelled ctx sealed no checkpoint for the idle stream")
+	}
+	checkNoGoroutineLeak(t, before)
+}
+
 // TestDrainEmptyManager pins the degenerate case: draining a manager
 // with no streams returns an empty map and shuts the manager down.
 func TestDrainEmptyManager(t *testing.T) {

@@ -538,25 +538,18 @@ func (m *Manager) Drain(ctx context.Context) (map[string][]byte, error) {
 		return nil, ErrDraining
 	}
 	m.draining = true
+	// A ctx that is already done aborts at once, even when nothing is
+	// left to flush; one that expires later wakes the wait loop below.
+	m.drainAbort = ctx.Err() != nil
 	m.cond.Broadcast() // unblock backpressured pushes with ErrDraining
-	m.mu.Unlock()
+	stop := context.AfterFunc(ctx, func() {
+		m.mu.Lock()
+		m.drainAbort = true
+		m.cond.Broadcast()
+		m.mu.Unlock()
+	})
+	defer stop()
 
-	// Context watcher: an expired deadline wakes the wait loop below via
-	// drainAbort. The quit channel bounds the goroutine to this call.
-	quit := make(chan struct{})
-	defer close(quit)
-	go func() {
-		select {
-		case <-ctx.Done():
-			m.mu.Lock()
-			m.drainAbort = true
-			m.cond.Broadcast()
-			m.mu.Unlock()
-		case <-quit:
-		}
-	}()
-
-	m.mu.Lock()
 	for !m.drainedLocked() && !m.drainAbort && !m.closed {
 		m.cond.Wait()
 	}

@@ -43,10 +43,14 @@ func tierEntries(n int) []histlog.WindowEntry {
 	return entries
 }
 
+// The tiered-view tests: a LiveView with a histlog cold store attached
+// and evicting at a horizon must answer exactly like a never-evicting
+// LiveView fed the same entries.
+
 // feedEntry pushes one window entry into a tiered view exactly as the
 // ingest commit path does: extensions, then events, then Flush, then
 // eviction at the horizon cutoff.
-func feedEntry(t *testing.T, tv *trackdb.TieredView, e *histlog.WindowEntry, horizon video.FrameIndex) {
+func feedEntry(t *testing.T, tv *trackdb.LiveView, e *histlog.WindowEntry, horizon video.FrameIndex) {
 	t.Helper()
 	for _, x := range e.Extends {
 		if err := tv.ExtendCell(x.Track, x.Frame, x.Class, x.CX, x.CY); err != nil {
@@ -60,11 +64,13 @@ func feedEntry(t *testing.T, tv *trackdb.TieredView, e *histlog.WindowEntry, hor
 	tv.EvictBefore(e.Window.End + 1 - horizon)
 }
 
-// feedPlain pushes the same entry into an unbounded LiveView.
+// feedPlain pushes the same entry into a never-evicting LiveView.
 func feedPlain(t *testing.T, v *trackdb.LiveView, e *histlog.WindowEntry) {
 	t.Helper()
 	for _, x := range e.Extends {
-		v.ExtendCell(x.Track, x.Frame, x.Class, x.CX, x.CY)
+		if err := v.ExtendCell(x.Track, x.Frame, x.Class, x.CX, x.CY); err != nil {
+			t.Fatalf("plain ExtendCell: %v", err)
+		}
 	}
 	if err := v.ApplyEvents(e.Events); err != nil {
 		t.Fatalf("plain ApplyEvents: %v", err)
@@ -74,7 +80,7 @@ func feedPlain(t *testing.T, v *trackdb.LiveView, e *histlog.WindowEntry) {
 
 // compareViews checks every TrackView answer the query operators
 // consult, across the full ID set.
-func compareViews(t *testing.T, tv *trackdb.TieredView, v *trackdb.LiveView, what string) {
+func compareViews(t *testing.T, tv *trackdb.LiveView, v *trackdb.LiveView, what string) {
 	t.Helper()
 	got, want := tv.IDs(), v.IDs()
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -117,7 +123,8 @@ func TestTieredViewAnswersMatchLiveView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := trackdb.NewTieredView(nil, log)
+	tv := trackdb.NewLiveView()
+	tv.AttachColdStore(log)
 	plain := trackdb.NewLiveView()
 	const horizon = 10
 	for i := range entries {
@@ -155,7 +162,8 @@ func TestTieredViewRehydratesOnLateEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := trackdb.NewTieredView(nil, log)
+	tv := trackdb.NewLiveView()
+	tv.AttachColdStore(log)
 	plain := trackdb.NewLiveView()
 
 	// Two windows of quiet history: tracks 0 and 1 live early, then age
@@ -206,8 +214,8 @@ func TestTieredViewRehydratesOnLateEvents(t *testing.T) {
 	}
 }
 
-// TestTieredViewOutOfOrderEventRejected: the tiered view inherits the
-// live view's event-cursor discipline — an event whose Seq is not
+// TestTieredViewOutOfOrderEventRejected: a view with a cold store keeps
+// the event-cursor discipline — an event whose Seq is not
 // exactly the next cursor position is rejected without mutating
 // anything, including through the batch path.
 func TestTieredViewOutOfOrderEventRejected(t *testing.T) {
@@ -215,7 +223,8 @@ func TestTieredViewOutOfOrderEventRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := trackdb.NewTieredView(nil, log)
+	tv := trackdb.NewLiveView()
+	tv.AttachColdStore(log)
 	for id := video.TrackID(0); id < 3; id++ {
 		if err := tv.ExtendCell(id, video.FrameIndex(id), 0, 1, 1); err != nil {
 			t.Fatal(err)
@@ -254,7 +263,8 @@ func TestTieredViewRetractionAfterCoalesceChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv := trackdb.NewTieredView(nil, log)
+	tv := trackdb.NewLiveView()
+	tv.AttachColdStore(log)
 	plain := trackdb.NewLiveView()
 	const horizon = 8
 
@@ -287,7 +297,9 @@ func TestTieredViewRetractionAfterCoalesceChain(t *testing.T) {
 			if err := tv.ExtendCell(x.Track, x.Frame, x.Class, x.CX, x.CY); err != nil {
 				t.Fatalf("window %d ExtendCell: %v", i, err)
 			}
-			plain.ExtendCell(x.Track, x.Frame, x.Class, x.CX, x.CY)
+			if err := plain.ExtendCell(x.Track, x.Frame, x.Class, x.CX, x.CY); err != nil {
+				t.Fatalf("window %d plain ExtendCell: %v", i, err)
+			}
 		}
 		if err := tv.ApplyEvents(entries[i].Events); err != nil {
 			t.Fatalf("window %d ApplyEvents: %v", i, err)
@@ -326,7 +338,7 @@ func TestTieredViewRetractionAfterCoalesceChain(t *testing.T) {
 }
 
 func TestTieredViewWithoutStoreRefusesColdTouch(t *testing.T) {
-	tv := trackdb.NewTieredView(nil, nil)
+	tv := trackdb.NewLiveView()
 	if err := tv.ExtendCell(3, 1, 0, 1, 1); err != nil {
 		t.Fatalf("hot extension failed: %v", err)
 	}
@@ -334,6 +346,13 @@ func TestTieredViewWithoutStoreRefusesColdTouch(t *testing.T) {
 	tv.EvictBefore(100)
 	if tv.ColdTracks() != 1 {
 		t.Fatalf("want 1 cold track, have %d", tv.ColdTracks())
+	}
+	if tv.PageErr() != nil {
+		t.Fatalf("page error before any cold read: %v", tv.PageErr())
+	}
+	// A read that needs the cold cells answers 0 and keeps the failure.
+	if n := tv.Dwell(3, geom.Rect{X: 0, Y: 0, W: 10, H: 10}); n != 0 || tv.PageErr() == nil {
+		t.Fatalf("cold Dwell with no store: %d, page error %v", n, tv.PageErr())
 	}
 	if err := tv.ExtendCell(3, 200, 0, 1, 1); err == nil {
 		t.Fatal("cold extension with no store succeeded")

@@ -8,6 +8,12 @@
 // pattern of windowed ingestion and of temporal queries — run in
 // O(log n + k) instead of O(n). Merging rewrites identities in place and
 // keeps the index consistent.
+//
+// LiveView (live.go) is the streaming counterpart: the merged-track view
+// kept current per window from track extensions and merge events. It is
+// the only view type. A view that evicts old tracks to a cold tier pages
+// them back from the ColdStore attached to it — in a history session,
+// the session's log.
 package trackdb
 
 import (

@@ -569,7 +569,10 @@ type (
 	MergeEvent = core.MergeEvent
 	// LiveView is an incrementally maintained materialisation of the
 	// merged track metadata — the streaming counterpart of a TrackStore
-	// built after the fact.
+	// built after the fact. It is the only view type: the one an
+	// Ingestor's standing queries read, and the one Ingestor.AsOf
+	// rebuilds from the history log. A history session's view keeps old
+	// tracks in a cold tier paged back from that log.
 	LiveView = trackdb.LiveView
 	// LiveViewState is a LiveView snapshot for checkpointing.
 	LiveViewState = trackdb.ViewState
