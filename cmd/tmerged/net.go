@@ -26,7 +26,6 @@ func serveConfig(c cfg) serve.Config {
 	sc := serve.Config{
 		Workers:         c.workers,
 		WindowBudget:    c.budget,
-		QueueAdmission:  c.budget > 0,
 		DefaultQueueCap: c.queueCap,
 		TurnFrames:      c.turn,
 		Shed:            c.shed,

@@ -15,6 +15,7 @@ import (
 	"github.com/tmerge/tmerge/internal/dataset"
 	"github.com/tmerge/tmerge/internal/device"
 	"github.com/tmerge/tmerge/internal/ingest"
+	"github.com/tmerge/tmerge/internal/ingress"
 	"github.com/tmerge/tmerge/internal/reid"
 	"github.com/tmerge/tmerge/internal/serve"
 	"github.com/tmerge/tmerge/internal/serve/loadgen"
@@ -135,13 +136,7 @@ func RunServeBench(ctx context.Context, cfg ServeBenchConfig) ([]ServeBenchResul
 	}
 	out := make([]ServeBenchResult, 0, len(cfg.StreamCounts))
 	for _, n := range cfg.StreamCounts {
-		var row ServeBenchResult
-		var err error
-		if cfg.Transport == "http" {
-			row, err = runServeBenchHTTP(ctx, cfg, n)
-		} else {
-			row, err = runServeBenchOnce(cfg, n)
-		}
+		row, err := runServeBenchOnce(ctx, cfg, n)
 		if err != nil {
 			return nil, err
 		}
@@ -150,10 +145,24 @@ func RunServeBench(ctx context.Context, cfg ServeBenchConfig) ([]ServeBenchResul
 	return out, nil
 }
 
-func runServeBenchOnce(cfg ServeBenchConfig, nStreams int) (ServeBenchResult, error) {
+// serveTransport is how the benchmark's frames reach the manager: stream
+// i's pushes, its flush once every frame is pushed, its finish, and the
+// teardown of everything the transport started.
+type serveTransport interface {
+	push(i int, f video.FrameIndex, dets []video.BBox) error
+	flush(i int) error
+	finish(i int) (ingress.FinishResponse, error)
+	stop()
+}
+
+// runServeBenchOnce measures one fleet size over cfg.Transport. The
+// fleet, manager configuration and pipelines are the same for both
+// transports, so windows, frames and the fingerprint are too; only the
+// wall columns price the transport.
+func runServeBenchOnce(ctx context.Context, cfg ServeBenchConfig, nStreams int) (ServeBenchResult, error) {
 	row := ServeBenchResult{
 		Experiment: serveBenchExperiment,
-		Transport:  "inproc",
+		Transport:  cfg.Transport,
 		Seed:       cfg.Seed,
 		Streams:    nStreams,
 		WindowLen:  cfg.WindowLen,
@@ -167,7 +176,7 @@ func runServeBenchOnce(cfg ServeBenchConfig, nStreams int) (ServeBenchResult, er
 	goroutinesBefore := runtime.NumGoroutine()
 	var latMu sync.Mutex
 	var lats []time.Duration
-	m := serve.NewManager(serve.Config{
+	sc := serve.Config{
 		Workers:         cfg.Workers,
 		TurnFrames:      cfg.TurnFrames,
 		DefaultQueueCap: cfg.QueueCap,
@@ -177,26 +186,15 @@ func runServeBenchOnce(cfg ServeBenchConfig, nStreams int) (ServeBenchResult, er
 			lats = append(lats, lat)
 			latMu.Unlock()
 		},
-	})
-
-	for _, s := range streams {
-		seed := s.Seed
-		spec := serve.StreamSpec{
-			ID: s.ID,
-			Ingest: ingest.Config{
-				WindowLen: cfg.WindowLen,
-				K:         cfg.K,
-				Algorithm: core.NewTMerge(serveBenchTMerge(cfg, seed)),
-			},
-			Pipeline: func() (*track.Engine, *reid.Oracle) {
-				model := reid.NewModel(seed^0x5EED, dataset.AppearanceDim)
-				return track.Tracktor(), reid.NewOracle(model, device.NewCPU(device.DefaultCPU))
-			},
-		}
-		if err := m.Register(spec); err != nil {
-			m.Shutdown()
-			return row, fmt.Errorf("bench: register %s: %w", s.ID, err)
-		}
+	}
+	var tr serveTransport
+	if cfg.Transport == "http" {
+		tr, err = startHTTPTransport(ctx, cfg, sc, streams)
+	} else {
+		tr, err = startInprocTransport(cfg, sc, streams)
+	}
+	if err != nil {
+		return row, err
 	}
 
 	var start time.Time
@@ -205,43 +203,46 @@ func runServeBenchOnce(cfg ServeBenchConfig, nStreams int) (ServeBenchResult, er
 	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, nStreams)
-	for _, s := range streams {
-		s := s
+	for i, s := range streams {
+		i, s := i, s
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for f, dets := range s.Video.Detections {
-				if err := m.Push(s.ID, ingestFrameIndex(f), dets); err != nil {
+				if err := tr.push(i, video.FrameIndex(f), dets); err != nil {
 					errCh <- fmt.Errorf("bench: push %s frame %d: %w", s.ID, f, err)
 					return
 				}
+			}
+			if err := tr.flush(i); err != nil {
+				errCh <- fmt.Errorf("bench: flush %s: %w", s.ID, err)
 			}
 		}()
 	}
 	wg.Wait()
 	close(errCh)
 	for err := range errCh {
-		m.Shutdown()
+		tr.stop()
 		return row, err
 	}
 
 	fp := sha256.New()
-	for _, s := range streams {
-		res, err := m.Finish(s.ID)
+	for i, s := range streams {
+		fin, err := tr.finish(i)
 		if err != nil {
-			m.Shutdown()
+			tr.stop()
 			return row, fmt.Errorf("bench: finish %s: %w", s.ID, err)
 		}
-		row.Frames += res.FramesProcessed
-		row.Windows += len(res.Windows)
-		row.DegradedWindows += res.DegradedWindows
-		fmt.Fprintln(fp, res.Fingerprint())
+		row.Frames += fin.Frames
+		row.Windows += fin.Windows
+		row.DegradedWindows += fin.DegradedWindows
+		fmt.Fprintln(fp, fin.Fingerprint)
 	}
 	var wall time.Duration
 	if cfg.Clock != nil {
 		wall = cfg.Clock().Sub(start)
 	}
-	m.Shutdown()
+	tr.stop()
 	row.Fingerprint = hex.EncodeToString(fp.Sum(nil))
 	row.LeakedGoroutines = leakedGoroutines(goroutinesBefore)
 
@@ -259,6 +260,23 @@ func runServeBenchOnce(cfg ServeBenchConfig, nStreams int) (ServeBenchResult, er
 	return row, nil
 }
 
+// serveBenchSpec is one stream's registration: its own TMerge instance
+// and isolated pipeline, keyed by the stream's loadgen seed.
+func serveBenchSpec(cfg ServeBenchConfig, id string, seed uint64) serve.StreamSpec {
+	return serve.StreamSpec{
+		ID: id,
+		Ingest: ingest.Config{
+			WindowLen: cfg.WindowLen,
+			K:         cfg.K,
+			Algorithm: core.NewTMerge(serveBenchTMerge(cfg, seed)),
+		},
+		Pipeline: func() (*track.Engine, *reid.Oracle) {
+			model := reid.NewModel(seed^0x5EED, dataset.AppearanceDim)
+			return track.Tracktor(), reid.NewOracle(model, device.NewCPU(device.DefaultCPU))
+		},
+	}
+}
+
 // serveBenchTMerge is the per-stream algorithm configuration.
 func serveBenchTMerge(cfg ServeBenchConfig, seed uint64) core.TMergeConfig {
 	tc := core.DefaultTMergeConfig(seed)
@@ -267,9 +285,6 @@ func serveBenchTMerge(cfg ServeBenchConfig, seed uint64) core.TMergeConfig {
 	}
 	return tc
 }
-
-// ingestFrameIndex converts a loop index to a frame index.
-func ingestFrameIndex(f int) video.FrameIndex { return video.FrameIndex(f) }
 
 // quantile returns the q-quantile of sorted latencies (nearest-rank).
 func quantile(sorted []time.Duration, q float64) time.Duration {

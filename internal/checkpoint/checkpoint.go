@@ -34,7 +34,7 @@ const Format = "tmerge/checkpoint"
 // Kalman filter internals and RNG states whose meaning is pinned to the
 // code that wrote them, so silent cross-version reads would break the
 // replay guarantee in ways no checksum can catch.
-const Version = 5
+const Version = 6
 
 // The on-disk envelope is one JSON object with exactly this layout and
 // no whitespace:

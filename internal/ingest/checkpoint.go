@@ -46,6 +46,9 @@ import (
 //     log), PrevTc as track IDs, the view feed cursors in Fed, and no
 //     created_at_frame copy of NextFrame. Retired boxes are ledgerBoxes
 //     instead of JSON video.BBoxes.
+//   - 6 stores each merge event once, in its window's result: Merger
+//     carries no events, and restore rebuilds the merger's retained log
+//     from the results' events numbered from the merger's event base.
 type sessionState struct {
 	// Configuration echoes.
 	WindowLen  int     `json:"window_len"`
@@ -59,9 +62,11 @@ type sessionState struct {
 	NextWindow int              `json:"next_window"`
 
 	// Component states. Stream holds only the unretired hypotheses;
-	// Retired is the session's ledger of retired tracks. PrevTc names, in order, the tracks of the last
-	// committed window's Tc; each is a live stream track, clipped to that
-	// window at restore.
+	// Retired is the session's ledger of retired tracks. PrevTc names, in
+	// order, the tracks of the last committed window's Tc; each is a live
+	// stream track, clipped to that window at restore. Merger holds the
+	// identity map and the event base but no events: the retained log is
+	// the Results' events from the base on.
 	Stream  track.StreamState `json:"stream"`
 	Retired []ledgerTrack     `json:"retired,omitempty"`
 	PrevTc  []video.TrackID   `json:"prev_tc,omitempty"`
@@ -229,6 +234,7 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 
 		Fed: in.fed,
 	}
+	st.Merger.Events = nil // each event is sealed once, in its window's result
 	for _, t := range in.prevTc {
 		st.PrevTc = append(st.PrevTc, t.ID)
 	}
@@ -328,6 +334,16 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 	stream, err := engine.RestoreStream(st.Stream)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: restore: %w", err)
+	}
+	// The merger's retained log is every result event from its base on.
+	// RestoreMerger refuses it unless contiguous, and restoreHistory
+	// cross-checks where it ends against the history reference.
+	for _, r := range st.Results {
+		for _, ev := range r.Events {
+			if ev.Seq >= st.Merger.EventBase {
+				st.Merger.Events = append(st.Merger.Events, ev)
+			}
+		}
 	}
 	merger, err := core.RestoreMerger(st.Merger)
 	if err != nil {

@@ -122,6 +122,51 @@ func TestCheckpointCarriesFeedCursors(t *testing.T) {
 	}
 }
 
+// TestCheckpointSealsEachEventOnce: a sealed payload holds each merge
+// event once, in its window's result. The merger section carries no
+// events, and restore rebuilds the merger's retained log (for a history
+// session, none past the base the sealed segments cover) from the
+// results.
+func TestCheckpointSealsEachEventOnce(t *testing.T) {
+	v, window := longHorizon(t, 2, 1200)
+	for _, history := range []bool{false, true} {
+		t.Run(fmt.Sprintf("history=%v", history), func(t *testing.T) {
+			dir := ""
+			if history {
+				dir = t.TempDir()
+			}
+			in := cutSession(t, window, cutTMerge, 1, dir, nil)
+			for f := 0; f < 1000; f++ {
+				in.PushAt(video.FrameIndex(f), v.Detections[f])
+			}
+			data, err := in.Checkpoint()
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A history checkpoint seals the active segment and trims the
+			// merger log to it; a plain session keeps the whole log.
+			if history && in.merger.EventBase() == 0 || !history && len(in.merger.Events()) == 0 {
+				t.Fatalf("merger retains %d events from base %d: the checkpoint proves nothing", len(in.merger.Events()), in.merger.EventBase())
+			}
+			var st sessionState
+			if err := checkpoint.Open(data, &st); err != nil {
+				t.Fatal(err)
+			}
+			if len(st.Merger.Events) != 0 {
+				t.Errorf("payload merger section holds %d events", len(st.Merger.Events))
+			}
+			if history {
+				dir = copyDir(t, dir)
+			}
+			restored := cutSession(t, window, cutTMerge, 1, dir, data)
+			if restored.merger.EventBase() != in.merger.EventBase() || !reflect.DeepEqual(restored.merger.Events(), in.merger.Events()) {
+				t.Errorf("restored merger log (base %d, %d events) differs from the session's (base %d, %d events)",
+					restored.merger.EventBase(), len(restored.merger.Events()), in.merger.EventBase(), len(in.merger.Events()))
+			}
+		})
+	}
+}
+
 // cutPoint is what the every-cut tests compare between a restored
 // session and the uninterrupted one at one frame.
 type cutPoint struct {

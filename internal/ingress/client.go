@@ -161,30 +161,20 @@ func (c *Client) Register(ctx context.Context, req RegisterRequest) (RegisterRes
 	return resp, err
 }
 
-// registerLocked performs the registration retry loop and applies the
-// server's resume point to the client marks.
+// registerLocked runs the registration through the retry loop and
+// applies the server's resume point to the client marks.
 func (c *Client) registerLocked(ctx context.Context) (RegisterResponse, error) {
 	body, err := json.Marshal(c.regReq)
 	if err != nil {
 		return RegisterResponse{}, fmt.Errorf("ingress: register %s: %w", c.cfg.Stream, err)
 	}
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return RegisterResponse{}, fmt.Errorf("ingress: register %s: %w", c.cfg.Stream, err)
-		}
-		status, hdr, respBody, err := c.attempt(ctx, "POST", "/v1/streams/"+c.cfg.Stream, body, c.cfg.RequestTimeout)
-		if err != nil {
-			c.stats.Retries++
-			lastErr = err
-			c.sleep(c.backoff(attempt))
-			continue
-		}
-		switch status {
-		case http.StatusOK:
-			var rr RegisterResponse
-			if err := json.Unmarshal(respBody, &rr); err != nil {
-				return RegisterResponse{}, fmt.Errorf("ingress: register %s: bad response: %w", c.cfg.Stream, err)
+	var rr RegisterResponse
+	err = c.do(ctx, operation{
+		name: "register", path: "/v1/streams/" + c.cfg.Stream, timeout: c.cfg.RequestTimeout,
+		body: func() ([]byte, error) { return body, nil },
+		ok: func(resp []byte) (bool, error) {
+			if err := c.decode("register", resp, &rr); err != nil {
+				return true, err
 			}
 			// A fresh incarnation acks nothing (AckedSeq -1): everything
 			// still buffered must be resent, minus frames its checkpoint
@@ -194,16 +184,13 @@ func (c *Client) registerLocked(ctx context.Context) (RegisterResponse, error) {
 			}
 			c.serverNext = rr.NextFrame
 			c.dropBelowFrame(rr.NextFrame)
-			return rr, nil
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			c.stats.Throttled++
-			lastErr = errBodyErr("register", c.cfg.Stream, status, respBody)
-			c.sleep(c.retryAfter(hdr, respBody, attempt))
-		default:
-			return RegisterResponse{}, errBodyErr("register", c.cfg.Stream, status, respBody)
-		}
+			return true, nil
+		},
+	})
+	if err != nil {
+		return RegisterResponse{}, err
 	}
-	return RegisterResponse{}, fmt.Errorf("ingress: register %s: %d attempts exhausted: %w", c.cfg.Stream, c.cfg.MaxAttempts, lastErr)
+	return rr, nil
 }
 
 // Push buffers one frame under the next sequence number and sends when
@@ -222,7 +209,7 @@ func (c *Client) Push(ctx context.Context, frame video.FrameIndex, dets []video.
 	}
 	c.buf = append(c.buf, PushRecord{Seq: c.seq, Frame: frame, Dets: dets})
 	c.seq++
-	if c.pendingCount() < c.cfg.BatchFrames {
+	if len(c.pending()) < c.cfg.BatchFrames {
 		return nil
 	}
 	return c.flushLocked(ctx)
@@ -252,44 +239,16 @@ func (c *Client) Finish(ctx context.Context) (FinishResponse, error) {
 	if !c.registered {
 		return FinishResponse{}, fmt.Errorf("ingress: finish %s: not registered", c.cfg.Stream)
 	}
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return FinishResponse{}, fmt.Errorf("ingress: finish %s: %w", c.cfg.Stream, err)
-		}
-		if err := c.flushLocked(ctx); err != nil {
-			return FinishResponse{}, err
-		}
-		status, hdr, respBody, err := c.attempt(ctx, "POST", "/v1/streams/"+c.cfg.Stream+"/finish", nil, c.cfg.FinishTimeout)
-		if err != nil {
-			c.stats.Retries++
-			lastErr = err
-			c.sleep(c.backoff(attempt))
-			continue
-		}
-		switch status {
-		case http.StatusOK:
-			var fr FinishResponse
-			if err := json.Unmarshal(respBody, &fr); err != nil {
-				return FinishResponse{}, fmt.Errorf("ingress: finish %s: bad response: %w", c.cfg.Stream, err)
-			}
-			return fr, nil
-		case http.StatusNotFound:
-			// Daemon restarted between flush and finish: reattach, replay,
-			// and try again.
-			c.stats.Reattaches++
-			if _, err := c.registerLocked(ctx); err != nil {
-				return FinishResponse{}, err
-			}
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
-			c.stats.Throttled++
-			lastErr = errBodyErr("finish", c.cfg.Stream, status, respBody)
-			c.sleep(c.retryAfter(hdr, respBody, attempt))
-		default:
-			return FinishResponse{}, errBodyErr("finish", c.cfg.Stream, status, respBody)
-		}
+	var fr FinishResponse
+	err := c.do(ctx, operation{
+		name: "finish", path: "/v1/streams/" + c.cfg.Stream + "/finish", timeout: c.cfg.FinishTimeout, reattach: true,
+		body: func() ([]byte, error) { return nil, c.flushLocked(ctx) },
+		ok:   func(resp []byte) (bool, error) { return true, c.decode("finish", resp, &fr) },
+	})
+	if err != nil {
+		return FinishResponse{}, err
 	}
-	return FinishResponse{}, fmt.Errorf("ingress: finish %s: %d attempts exhausted: %w", c.cfg.Stream, c.cfg.MaxAttempts, lastErr)
+	return fr, nil
 }
 
 // Status fetches the stream's server-side status row (single attempt —
@@ -311,54 +270,103 @@ func (c *Client) Status(ctx context.Context) (StreamStatus, error) {
 	return st, nil
 }
 
-// flushLocked drives the push retry loop until nothing is pending:
-// transport failures back off and resend the whole pending window
-// (dedup absorbs the overlap), 429/503 honor the server's hint, 404
-// re-registers and replays. Every exit path leaves the buffer
+// flushLocked runs the push through the retry loop until nothing is
+// pending: every attempt resends the whole pending window (dedup
+// absorbs the overlap), and every exit path leaves the buffer
 // consistent with the server's marks.
 func (c *Client) flushLocked(ctx context.Context) error {
+	return c.do(ctx, operation{
+		name: "push", path: "/v1/streams/" + c.cfg.Stream + "/frames", timeout: c.cfg.RequestTimeout, reattach: true,
+		done: func() bool { return len(c.pending()) == 0 },
+		body: func() ([]byte, error) {
+			pending := c.pending()
+			var body bytes.Buffer
+			if err := EncodePushBatch(&body, pending); err != nil {
+				return nil, err
+			}
+			c.stats.RecordsSent += int64(len(pending))
+			return body.Bytes(), nil
+		},
+		ok: func(resp []byte) (bool, error) {
+			var pr PushResponse
+			if err := c.decode("push", resp, &pr); err != nil {
+				return true, err
+			}
+			c.applyAck(pr)
+			return false, nil
+		},
+	})
+}
+
+// operation is one logical client operation (a registration, a flush, a
+// finish) as the retry loop drives it.
+type operation struct {
+	name    string // "register", "push" or "finish", for errors
+	path    string
+	timeout time.Duration
+	// reattach makes a 404 re-register (the daemon restarted and forgot
+	// the stream) and retry.
+	reattach bool
+	// done, when set, reports before each attempt that nothing is left
+	// to send.
+	done func() bool
+	// body builds each attempt's request body.
+	body func() ([]byte, error)
+	// ok consumes a 200 response; it reports whether the operation is
+	// complete or needs another attempt.
+	ok func(resp []byte) (bool, error)
+}
+
+// do is the client's one retry loop, holding the whole retry policy:
+// every attempt first checks ctx; a transport failure or timeout backs
+// off on the seeded schedule and resends; 429/503 waits the server's
+// hint; 404 re-registers when the operation allows it; any other status
+// fails. Every attempt, 200s included, spends one of MaxAttempts.
+func (c *Client) do(ctx context.Context, op operation) error {
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		pending := c.pending()
-		if len(pending) == 0 {
+		if op.done != nil && op.done() {
 			return nil
 		}
 		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("ingress: push %s: %w", c.cfg.Stream, err)
+			return fmt.Errorf("ingress: %s %s: %w", op.name, c.cfg.Stream, err)
 		}
-		var body bytes.Buffer
-		if err := EncodePushBatch(&body, pending); err != nil {
+		body, err := op.body()
+		if err != nil {
 			return err
 		}
-		c.stats.RecordsSent += int64(len(pending))
-		status, hdr, respBody, err := c.attempt(ctx, "POST", "/v1/streams/"+c.cfg.Stream+"/frames", body.Bytes(), c.cfg.RequestTimeout)
-		if err != nil {
+		status, hdr, resp, err := c.attempt(ctx, "POST", op.path, body, op.timeout)
+		switch {
+		case err != nil:
 			c.stats.Retries++
 			lastErr = err
 			c.sleep(c.backoff(attempt))
-			continue
-		}
-		switch status {
-		case http.StatusOK:
-			var pr PushResponse
-			if err := json.Unmarshal(respBody, &pr); err != nil {
-				return fmt.Errorf("ingress: push %s: bad response: %w", c.cfg.Stream, err)
+		case status == http.StatusOK:
+			if complete, err := op.ok(resp); complete || err != nil {
+				return err
 			}
-			c.applyAck(pr)
-		case http.StatusNotFound:
+		case status == http.StatusNotFound && op.reattach:
 			c.stats.Reattaches++
 			if _, err := c.registerLocked(ctx); err != nil {
 				return err
 			}
-		case http.StatusTooManyRequests, http.StatusServiceUnavailable:
+		case status == http.StatusTooManyRequests, status == http.StatusServiceUnavailable:
 			c.stats.Throttled++
-			lastErr = errBodyErr("push", c.cfg.Stream, status, respBody)
-			c.sleep(c.retryAfter(hdr, respBody, attempt))
+			lastErr = errBodyErr(op.name, c.cfg.Stream, status, resp)
+			c.sleep(c.retryAfter(hdr, resp, attempt))
 		default:
-			return errBodyErr("push", c.cfg.Stream, status, respBody)
+			return errBodyErr(op.name, c.cfg.Stream, status, resp)
 		}
 	}
-	return fmt.Errorf("ingress: push %s: %d attempts exhausted: %w", c.cfg.Stream, c.cfg.MaxAttempts, lastErr)
+	return fmt.Errorf("ingress: %s %s: %d attempts exhausted: %w", op.name, c.cfg.Stream, c.cfg.MaxAttempts, lastErr)
+}
+
+// decode parses a 200 response body into v.
+func (c *Client) decode(op string, resp []byte, v any) error {
+	if err := json.Unmarshal(resp, v); err != nil {
+		return fmt.Errorf("ingress: %s %s: bad response: %w", op, c.cfg.Stream, err)
+	}
+	return nil
 }
 
 // applyAck folds a push acknowledgement into the client marks: the
@@ -394,15 +402,6 @@ func (c *Client) pending() []PushRecord {
 		i++
 	}
 	return c.buf[i:]
-}
-
-// pendingCount mirrors pending without slicing.
-func (c *Client) pendingCount() int {
-	n := 0
-	for i := len(c.buf) - 1; i >= 0 && c.buf[i].Seq > c.acked; i-- {
-		n++
-	}
-	return n
 }
 
 // attempt performs one HTTP exchange under a per-request deadline

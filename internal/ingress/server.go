@@ -382,7 +382,7 @@ func (s *Server) writeServeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, serve.ErrOverloaded):
 		writeError(w, http.StatusTooManyRequests, CodeOverloaded, err.Error(), hint)
-	case errors.Is(err, serve.ErrAdmission), errors.Is(err, serve.ErrNotAdmitted):
+	case errors.Is(err, serve.ErrNotAdmitted):
 		writeError(w, http.StatusServiceUnavailable, CodeAdmission, err.Error(), hint)
 	case errors.Is(err, serve.ErrDraining), errors.Is(err, serve.ErrStopped):
 		writeError(w, http.StatusServiceUnavailable, CodeDraining, err.Error(), hint)

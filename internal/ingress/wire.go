@@ -32,8 +32,8 @@ const (
 	// CodeOverloaded maps ErrOverloaded: the stream's frame queue is
 	// full. Retry after the hinted delay (HTTP 429).
 	CodeOverloaded = "overloaded"
-	// CodeAdmission maps ErrAdmission: the stream cannot be admitted
-	// within the window budget (HTTP 503).
+	// CodeAdmission maps ErrNotAdmitted: the stream is parked awaiting
+	// admission within the window budget (HTTP 503).
 	CodeAdmission = "admission"
 	// CodeDraining maps ErrDraining/ErrStopped: the daemon is draining to
 	// checkpoint or already shut down; reconnect to its successor

@@ -70,10 +70,10 @@ func windowCost(queueCap, windowLen int) int {
 	return cost
 }
 
-// Register admits a new stream (or, over budget with QueueAdmission
-// set, parks it Pending; its frames are refused with ErrNotAdmitted
-// until capacity frees). The spec's ingestion configuration is
-// validated up front, with the manager's checkpoint sink installed.
+// Register admits a new stream, or, over the window budget, parks it
+// Pending: its frames are refused with ErrNotAdmitted until a Finish
+// frees capacity. The spec's ingestion configuration is validated up
+// front, with the manager's checkpoint sink installed.
 func (m *Manager) Register(spec StreamSpec) error {
 	if spec.ID == "" {
 		return fmt.Errorf("serve: stream id must be non-empty")
@@ -111,22 +111,14 @@ func (m *Manager) Register(spec StreamSpec) error {
 		m.mu.Unlock()
 		return fmt.Errorf("serve: stream %q: %w", spec.ID, ErrDuplicateStream)
 	}
+	m.streams[spec.ID] = s
+	m.order = append(m.order, spec.ID)
 	if m.cfg.WindowBudget > 0 && m.budget+s.cost > m.cfg.WindowBudget {
-		if !m.cfg.QueueAdmission {
-			m.mu.Unlock()
-			return fmt.Errorf("serve: stream %q costs %d windows, %d of %d in use: %w",
-				spec.ID, s.cost, m.budget, m.cfg.WindowBudget, ErrAdmission)
-		}
-		s.state = Pending
-		m.streams[spec.ID] = s
-		m.order = append(m.order, spec.ID)
-		m.waiting = append(m.waiting, s)
+		m.waiting = append(m.waiting, s) // s.state is Pending, the zero Health
 		m.mu.Unlock()
 		return nil
 	}
 	m.budget += s.cost
-	m.streams[spec.ID] = s
-	m.order = append(m.order, spec.ID)
 	m.mu.Unlock()
 
 	return m.startStream(s)
@@ -167,48 +159,24 @@ func (m *Manager) sinkedConfig(s *stream) ingest.Config {
 	return cfg
 }
 
-// startStream builds an admitted stream's pipeline and session outside
-// the manager lock and makes it schedulable. A spec carrying Resume
-// bytes restores the checkpointed session instead of starting empty and
-// seeds the crash-recovery state with those bytes, so a crash right
-// after resumption rebuilds from the same checkpoint.
+// startStream builds an admitted stream's session outside the manager
+// lock and makes it schedulable. A spec carrying Resume bytes restores
+// the checkpointed session instead of starting empty and seeds the
+// crash-recovery state with those bytes, so a crash right after
+// resumption rebuilds from the same checkpoint.
 func (m *Manager) startStream(s *stream) error {
-	engine, oracle := s.spec.Pipeline()
-	var (
-		ing *ingest.Ingestor
-		err error
-	)
-	if len(s.spec.Resume) > 0 {
-		ing, err = ingest.Restore(engine, oracle, s.cfg, s.spec.Resume)
-	} else {
-		ing, err = ingest.New(engine, oracle, s.cfg)
-	}
-
+	ing, err := m.rebuild(s, s.spec.Resume, nil)
 	m.mu.Lock()
+	defer m.mu.Unlock()
 	if err != nil {
 		s.state = Stopped
 		s.lastErr = err
 		m.budget -= s.cost
 		m.cond.Broadcast()
-		m.mu.Unlock()
 		return err
 	}
-	s.ing = ing
-	s.state = Healthy
-	s.noteHistoryLocked(ing)
-	if len(s.spec.Resume) > 0 {
-		s.ckpt = s.spec.Resume
-		s.frames = ing.FramesSeen()
-		for _, r := range ing.Results() {
-			s.windows++
-			if r.Degraded {
-				s.degraded++
-			}
-		}
-	}
-	m.scheduleLocked(s)
-	m.cond.Broadcast()
-	m.mu.Unlock()
+	s.ckpt = s.spec.Resume
+	m.installLocked(s, ing)
 	return nil
 }
 
@@ -309,12 +277,29 @@ func (m *Manager) Finish(id string) (*core.PipelineResult, error) {
 		ing := s.ing
 		m.mu.Unlock()
 
-		err := m.closeStream(s, ing)
+		var res *core.PipelineResult
+		err := guard(id, "final flush", func() error {
+			m.step(s, ing.Close)
+			res = ing.Result()
+			return nil
+		})
 
 		m.mu.Lock()
 		s.active = false
 		if err == nil {
-			break
+			s.foldLocked(ing, false)
+			s.state = Stopped
+			m.budget -= s.cost
+			admitted := m.admitLocked()
+			m.cond.Broadcast()
+			m.mu.Unlock()
+			for _, a := range admitted {
+				// A factory or session failure marks the stream Stopped
+				// with the error in its status; Register already returned
+				// nil long ago.
+				_ = m.startStream(a)
+			}
+			return res, nil
 		}
 		// The final flush panicked (a real fault, not an injected crash —
 		// those only fire on the worker path): quarantine and let the
@@ -329,53 +314,6 @@ func (m *Manager) Finish(id string) (*core.PipelineResult, error) {
 		m.recoverq = append(m.recoverq, s)
 		m.cond.Broadcast()
 	}
-
-	ing := s.ing
-	m.mu.Unlock()
-	res := ing.Result()
-
-	m.mu.Lock()
-	s.state = Stopped
-	s.frames = res.FramesProcessed
-	s.windows = len(res.Windows)
-	s.degraded = res.DegradedWindows
-	m.budget -= s.cost
-	admitted := m.admitLocked()
-	m.cond.Broadcast()
-	m.mu.Unlock()
-
-	for _, a := range admitted {
-		// A factory or session failure marks the stream Stopped with the
-		// error in its status; Register already returned nil long ago.
-		_ = m.startStream(a)
-	}
-	return res, nil
-}
-
-// closeStream flushes the final partial window, converting a panic into
-// an error for the supervisor.
-func (m *Manager) closeStream(s *stream, ing *ingest.Ingestor) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("serve: stream %q: final flush panicked: %v", s.id, r)
-		}
-	}()
-	var start timePoint
-	if m.cfg.Now != nil {
-		start = m.cfg.Now()
-	}
-	results := ing.Close()
-	m.observe(s, results, start)
-	m.mu.Lock()
-	s.noteHistoryLocked(ing)
-	for _, r := range results {
-		s.windows++
-		if r.Degraded {
-			s.degraded++
-		}
-	}
-	m.mu.Unlock()
-	return nil
 }
 
 // inRecoverLocked reports whether s is queued for the supervisor.
@@ -577,7 +515,11 @@ func (m *Manager) Drain(ctx context.Context) (map[string][]byte, error) {
 		s.active = true
 		ing := s.ing
 		m.mu.Unlock()
-		data, err := sealDrainCheckpoint(s.id, ing)
+		var data []byte
+		err := guard(id, "drain checkpoint", func() (err error) {
+			data, err = ing.Checkpoint()
+			return err
+		})
 		m.mu.Lock()
 		s.active = false
 		if err != nil {
@@ -619,21 +561,6 @@ func (m *Manager) drainedLocked() bool {
 		}
 	}
 	return true
-}
-
-// sealDrainCheckpoint seals one stream's final drain checkpoint,
-// converting a panic into an error.
-func sealDrainCheckpoint(id string, ing *ingest.Ingestor) (data []byte, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			data, err = nil, fmt.Errorf("serve: stream %q: drain checkpoint panicked: %v", id, r)
-		}
-	}()
-	data, err = ing.Checkpoint()
-	if err != nil {
-		return nil, fmt.Errorf("serve: stream %q: drain checkpoint: %w", id, err)
-	}
-	return data, nil
 }
 
 // Shutdown stops the worker pool and the supervisor and waits for them

@@ -87,29 +87,11 @@ func testIngestCfg(seed uint64, windowLen, ckptEvery int) ingest.Config {
 // ingestFrame converts a loop index to a frame index.
 func ingestFrame(f int) video.FrameIndex { return video.FrameIndex(f) }
 
-func TestAdmissionRejects(t *testing.T) {
-	before := runtime.NumGoroutine()
-	m := NewManager(Config{Workers: 1, WindowBudget: 2, DefaultQueueCap: 100})
-	defer func() {
-		m.Shutdown()
-		checkNoGoroutineLeak(t, before)
-	}()
-
-	// Cost = ceil(100 / 50) = 2 windows: the first stream consumes the
-	// whole budget.
-	specA := StreamSpec{ID: "a", Ingest: testIngestCfg(1, 100, 0), Pipeline: testPipeline(1, nil)}
-	if err := m.Register(specA); err != nil {
-		t.Fatalf("register a: %v", err)
-	}
-	specB := StreamSpec{ID: "b", Ingest: testIngestCfg(2, 100, 0), Pipeline: testPipeline(2, nil)}
-	if err := m.Register(specB); !errors.Is(err, ErrAdmission) {
-		t.Fatalf("register b: got %v, want ErrAdmission", err)
-	}
-}
-
 func TestAdmissionQueuesUntilCapacityFrees(t *testing.T) {
 	before := runtime.NumGoroutine()
-	m := NewManager(Config{Workers: 1, WindowBudget: 2, QueueAdmission: true, DefaultQueueCap: 100})
+	// Cost = ceil(100 / 50) = 2 windows: the first stream consumes the
+	// whole budget and the second is parked.
+	m := NewManager(Config{Workers: 1, WindowBudget: 2, DefaultQueueCap: 100})
 	defer func() {
 		m.Shutdown()
 		checkNoGoroutineLeak(t, before)
@@ -163,6 +145,60 @@ func TestAdmissionQueuesUntilCapacityFrees(t *testing.T) {
 	}
 	if res.FramesProcessed != streams[1].Video.NumFrames {
 		t.Fatalf("stream b processed %d frames, want %d", res.FramesProcessed, streams[1].Video.NumFrames)
+	}
+}
+
+// TestResumeReportsLastWindowHealth pins that a stream resumed from a
+// checkpoint takes its health from the session's last committed window,
+// as supervisor recovery does: a session checkpointed right after a
+// degraded window (a permanent oracle outage) resumes Degraded, with the
+// session's window and degraded counts.
+func TestResumeReportsLastWindowHealth(t *testing.T) {
+	before := runtime.NumGoroutine()
+	streams, err := loadgen.Generate(loadgen.Config{Seed: 5, Streams: 1, Frames: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := fault.Config{Seed: 5, FailureLatency: 50 * time.Microsecond, Schedule: fault.NewSchedule(fault.Outage{From: 0, To: 1 << 40})}
+	pipeline := testPipeline(5, &fc)
+	engine, oracle := pipeline()
+	ing, err := ingest.New(engine, oracle, testIngestCfg(5, 40, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var results []ingest.WindowResult
+	for f, dets := range streams[0].Video.Detections {
+		if results = ing.PushAt(ingestFrame(f), dets); len(results) > 0 && results[len(results)-1].Degraded {
+			break
+		}
+	}
+	if len(results) == 0 {
+		t.Fatal("no degraded window committed under a permanent outage")
+	}
+	degraded := 0
+	for _, r := range ing.Results() {
+		if r.Degraded {
+			degraded++
+		}
+	}
+	ckpt, err := ing.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	m := NewManager(Config{Workers: 1})
+	defer func() {
+		m.Shutdown()
+		checkNoGoroutineLeak(t, before)
+	}()
+	spec := StreamSpec{ID: "s", Ingest: testIngestCfg(5, 40, 0), Pipeline: pipeline, Resume: ckpt}
+	if err := m.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Snapshot()[0]
+	if st.State != Degraded || st.Windows != len(ing.Results()) || st.DegradedWindows != degraded {
+		t.Fatalf("resumed stream: state %v, %d windows (%d degraded); want degraded, %d windows (%d degraded)",
+			st.State, st.Windows, st.DegradedWindows, len(ing.Results()), degraded)
 	}
 }
 

@@ -19,8 +19,7 @@
 //
 // Admission control bounds the fleet: registration accounts each stream
 // a window budget derived from its queue capacity, and over-budget
-// registrations are rejected (ErrAdmission) or parked (Pending) until
-// capacity frees. Backpressure bounds each stream: Push either blocks
+// registrations are parked (Pending) until capacity frees. Backpressure bounds each stream: Push either blocks
 // for queue room or sheds with ErrOverloaded. Supervision keeps the
 // fleet healthy: a panicked stream is quarantined and restarted from its
 // latest periodic checkpoint, with the frames pushed since that
@@ -44,9 +43,6 @@ var (
 	// queue is full and the manager is configured to shed rather than
 	// block.
 	ErrOverloaded = errors.New("serve: stream frame queue full")
-	// ErrAdmission reports a rejected registration: admitting the stream
-	// would push the aggregate in-flight window budget past the limit.
-	ErrAdmission = errors.New("serve: admission budget exceeded")
 	// ErrNotAdmitted reports an operation on a stream still parked in the
 	// admission queue.
 	ErrNotAdmitted = errors.New("serve: stream awaiting admission")
@@ -181,11 +177,9 @@ type Config struct {
 	Workers int
 	// WindowBudget caps the aggregate in-flight window capacity across
 	// admitted streams (each stream costs ceil(QueueCap / (WindowLen/2))
-	// windows, at least 1). 0 disables admission control.
+	// windows, at least 1); over-budget registrations are parked
+	// Pending until capacity frees. 0 disables admission control.
 	WindowBudget int
-	// QueueAdmission parks over-budget registrations (Pending) until
-	// capacity frees instead of rejecting them with ErrAdmission.
-	QueueAdmission bool
 	// DefaultQueueCap bounds each stream's frame queue when its spec
 	// does not choose one; 0 defaults to 64.
 	DefaultQueueCap int

@@ -21,10 +21,6 @@ func retireDevice(in *ingest.Ingestor) {
 	}
 }
 
-// timePoint aliases time.Time for the latency bookkeeping; zero when no
-// wall clock is injected.
-type timePoint = time.Time
-
 // pushItem is one queued frame.
 type pushItem struct {
 	frame video.FrameIndex
@@ -75,13 +71,37 @@ type stream struct {
 	histErr  string
 }
 
-// noteHistoryLocked refreshes the stream's history counters from its
-// session. The caller must hold Manager.mu and the stream's active flag
-// (the accessors read tiered-view state only the active holder may
-// touch).
-func (s *stream) noteHistoryLocked(ing *ingest.Ingestor) {
-	hot, cold, _, _ := ing.HistoryStats()
-	s.histHot, s.histCold = hot, cold
+// foldLocked is the only writer of the stream's frame and window
+// counters, its Healthy/Degraded health and its history copies. It
+// counts the windows ing committed past the stream's window counter —
+// ing.Results() only grows, so the counter is a cursor into it — after
+// zeroing the counters when ing is a session just built (fresh). Health
+// follows the last committed window: one degraded window marks the
+// stream Degraded until an oracle-backed window closes again. The
+// history copies are refreshed only when windows were counted or the
+// session is fresh (HistoryStats walks the hot tier). The caller must
+// hold Manager.mu, and no other goroutine may be using ing.
+func (s *stream) foldLocked(ing *ingest.Ingestor, fresh bool) {
+	s.frames = ing.FramesSeen()
+	res := ing.Results()
+	if fresh {
+		s.windows, s.degraded, s.state = 0, 0, Healthy
+	} else if s.windows == len(res) {
+		return
+	}
+	for _, r := range res[s.windows:] {
+		if r.Degraded {
+			s.degraded++
+		}
+	}
+	s.windows = len(res)
+	if len(res) > 0 {
+		s.state = Healthy
+		if res[len(res)-1].Degraded {
+			s.state = Degraded
+		}
+	}
+	s.histHot, s.histCold, _, _ = ing.HistoryStats()
 	s.histErr = ""
 	if err := ing.HistoryErr(); err != nil {
 		s.histErr = err.Error()
@@ -180,40 +200,24 @@ func (m *Manager) runTurn(s *stream, batch []pushItem) (rem []pushItem, err erro
 		if crash {
 			panic(fmt.Sprintf("injected crash before frame %d", it.frame))
 		}
-		var start timePoint
-		if m.cfg.Now != nil {
-			start = m.cfg.Now()
-		}
-		results := s.ing.PushAt(it.frame, it.dets)
-		m.observe(s, results, start)
+		m.step(s, func() []ingest.WindowResult { return s.ing.PushAt(it.frame, it.dets) })
 		m.mu.Lock()
-		s.frames = s.ing.FramesSeen()
 		s.turnLeft--
-		if len(results) > 0 {
-			s.noteHistoryLocked(s.ing)
-		}
-		for _, r := range results {
-			s.windows++
-			if r.Degraded {
-				s.degraded++
-			}
-			// Health tracks the most recent window: one degraded window
-			// marks the stream Degraded until an oracle-backed window
-			// closes again.
-			if r.Degraded {
-				s.state = Degraded
-			} else {
-				s.state = Healthy
-			}
-		}
+		s.foldLocked(s.ing, false)
 		m.mu.Unlock()
 	}
 	return nil, nil
 }
 
-// observe reports closed windows to the configured observer with the
-// wall latency of the push that closed them.
-func (m *Manager) observe(s *stream, results []ingest.WindowResult, start timePoint) {
+// step runs one session step (a frame push or the final flush) and
+// reports the windows it closed to the configured observer with the
+// step's wall latency.
+func (m *Manager) step(s *stream, run func() []ingest.WindowResult) {
+	var start time.Time
+	if m.cfg.Now != nil {
+		start = m.cfg.Now()
+	}
+	results := run()
 	if m.cfg.OnWindow == nil || len(results) == 0 {
 		return
 	}
@@ -278,51 +282,63 @@ func (m *Manager) supervisor() {
 			m.cond.Broadcast()
 			continue
 		}
-		s.ing = ing
 		s.lastErr = nil
-		s.frames = ing.FramesSeen()
-		s.noteHistoryLocked(ing)
-		s.windows = 0
-		s.degraded = 0
-		s.state = Healthy
-		for _, r := range ing.Results() {
-			s.windows++
-			if r.Degraded {
-				s.degraded++
-				s.state = Degraded
-			} else {
-				s.state = Healthy
-			}
-		}
-		m.scheduleLocked(s)
-		m.cond.Broadcast()
+		m.installLocked(s, ing)
 	}
 }
 
-// rebuild constructs a fresh pipeline, restores the checkpoint (or
-// starts from scratch when the stream never sealed one), and replays
-// the since-checkpoint frames. Replayed windows are not re-observed —
-// they were already reported before the crash.
+// rebuild builds a stream's session on a fresh pipeline — the one path
+// for admission, StreamSpec.Resume and crash recovery: restore ckpt
+// (the spec's Resume bytes at admission, the latest sealed checkpoint in
+// recovery) or start empty when there is none, then replay the frames
+// pushed since. Replayed windows are not re-observed — they were already
+// reported before the crash. A panic anywhere in it is an error.
 func (m *Manager) rebuild(s *stream, ckpt []byte, replay []pushItem) (in *ingest.Ingestor, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			in, err = nil, fmt.Errorf("serve: stream %q: recovery replay panicked: %v", s.id, r)
+	err = guard(s.id, "session build", func() (err error) {
+		engine, oracle := s.spec.Pipeline()
+		if len(ckpt) > 0 {
+			in, err = ingest.Restore(engine, oracle, s.cfg, ckpt)
+		} else {
+			in, err = ingest.New(engine, oracle, s.cfg)
 		}
-	}()
-	engine, oracle := s.spec.Pipeline()
-	if len(ckpt) > 0 {
-		in, err = ingest.Restore(engine, oracle, s.cfg, ckpt)
-	} else {
-		in, err = ingest.New(engine, oracle, s.cfg)
-	}
+		if err != nil {
+			return err
+		}
+		for _, it := range replay {
+			m.mu.Lock()
+			s.replay = append(s.replay, it)
+			m.mu.Unlock()
+			in.PushAt(it.frame, it.dets)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	for _, it := range replay {
-		m.mu.Lock()
-		s.replay = append(s.replay, it)
-		m.mu.Unlock()
-		in.PushAt(it.frame, it.dets)
-	}
 	return in, nil
+}
+
+// installLocked makes a freshly built session the stream's own: the
+// counters and health are recounted from it and the stream is
+// schedulable again. The caller must hold Manager.mu.
+func (m *Manager) installLocked(s *stream, ing *ingest.Ingestor) {
+	s.ing = ing
+	s.foldLocked(ing, true)
+	m.scheduleLocked(s)
+	m.cond.Broadcast()
+}
+
+// guard runs one session operation and turns its failure into an error
+// naming the stream and the operation — a panic included, so a fault in
+// a session quarantines or fails that stream instead of the daemon.
+func guard(id, op string, run func() error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("serve: stream %q: %s panicked: %v", id, op, r)
+		}
+	}()
+	if err := run(); err != nil {
+		return fmt.Errorf("serve: stream %q: %s: %w", id, op, err)
+	}
+	return nil
 }

@@ -703,10 +703,6 @@ var (
 	// block. Over the network ingress this surfaces as HTTP 429 with a
 	// Retry-After hint.
 	ErrServeOverloaded = serve.ErrOverloaded
-	// ErrServeAdmission reports a rejected registration: admitting the
-	// stream would exceed the aggregate in-flight window budget (HTTP
-	// 503 over ingress).
-	ErrServeAdmission = serve.ErrAdmission
 	// ErrServeNotAdmitted reports an operation on a stream still parked
 	// in the admission queue.
 	ErrServeNotAdmitted = serve.ErrNotAdmitted
