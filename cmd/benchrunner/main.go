@@ -9,6 +9,7 @@
 //	benchrunner -exp all -json results.ndjson
 //	benchrunner -exp servebench -streams 4,16
 //	benchrunner -exp histbench -json hist.ndjson
+//	benchrunner -exp claims -workers 2
 //	benchrunner -bench -bench-out BENCH_pr.json -compare BENCH_baseline.json -min-speedup 2
 //
 // Each experiment prints a plain-text table; EXPERIMENTS.md records the
@@ -22,6 +23,13 @@
 // log) and enforces its bounded-memory gates: a deterministic hot-cell
 // ceiling and a measured heap-growth-per-track ceiling, each reported
 // as an explicit gate_status row (skipped, loudly, where unmeasurable).
+// claims is the paper-claims gate: the qualitative claims of Figs. 3, 5,
+// 8, 9 and 11–13 judged over the gate's pinned seeds and workload
+// (-seed, -videos and -trials do not apply; -workers measures that many
+// seeds at once). Each claim is one gate_status row, and any failed
+// claim exits nonzero. It is what accepts a change to the bandit's
+// random draws, where bit-identical outputs cannot.
+//
 // -streams overrides the servebench fleet sizes; an override that drops
 // the pinned large arm emits an explicit skipped gate_status row so the
 // artifact records the reduced coverage.
@@ -61,11 +69,11 @@ import (
 
 func main() {
 	var (
-		exp     = flag.String("exp", "all", "comma-separated experiments to run (fig3..fig13,table2,pearson,ablations,querybench,servebench,histbench) or 'all'")
+		exp     = flag.String("exp", "all", "comma-separated experiments to run (fig3..fig13,table2,pearson,ablations,querybench,servebench,histbench,claims) or 'all'")
 		seed    = flag.Uint64("seed", 42, "master seed for datasets and algorithms")
 		videos  = flag.Int("videos", 3, "videos per dataset (0 = full profile size)")
 		trials  = flag.Int("trials", 3, "independent trials to average stochastic algorithms over")
-		workers = flag.Int("workers", 3, "parallel workers across trials")
+		workers = flag.Int("workers", 3, "parallel workers across trials (claims: across seeds)")
 		jsonOut = flag.String("json", "", "write experiment results as line-delimited JSON to this file ('-' for stdout)")
 
 		transport = flag.String("transport", "inproc", "servebench frame transport: inproc (direct serve.Manager pushes) or http (loopback NDJSON ingress)")
@@ -177,6 +185,23 @@ func main() {
 				os.Exit(1)
 			}
 			return map[string]any{"row": row, "gates": statuses}
+		},
+		"claims": func() any {
+			samples := bench.MeasureClaims(*workers)
+			bench.ClaimTable(samples).Fprint(w)
+			statuses := bench.CheckClaims(samples, runtime.NumCPU())
+			failed := 0
+			for _, st := range statuses {
+				fmt.Fprintf(w, "benchrunner: gate %s %s: %s\n", st.Gate, strings.ToUpper(st.Status), st.Reason)
+				if st.Status != bench.GateOK {
+					failed++
+				}
+			}
+			if failed > 0 {
+				fmt.Fprintf(os.Stderr, "benchrunner: claims gate failed: %d of %d claim(s) do not reproduce\n", failed, len(statuses))
+				os.Exit(1)
+			}
+			return map[string]any{"samples": samples, "gates": statuses}
 		},
 		"table2":    func() any { return s.Table2(w) },
 		"ablations": func() any { return s.Ablations(w) },

@@ -38,36 +38,8 @@ func (s *Suite) Fig3(w io.Writer) map[string][]Point {
 		Title:  "Figure 3: REC-K curves of the exhaustive baseline",
 		Header: append([]string{"K"}, Datasets...),
 	}
-	tr := defaultTracker()
 	for _, dsName := range Datasets {
-		ds := s.Dataset(dsName)
-		recSum := make([]float64, len(KSweep))
-		windows := 0
-		for i, v := range ds.Videos {
-			ts := s.Tracks(dsName, tr, i)
-			for _, ps := range s.pairSets(ts, v.NumFrames, ds.WindowLen) {
-				truth := motmetrics.PolyonymousPairs(ps)
-				if len(truth) == 0 {
-					continue
-				}
-				oracle := reid.NewOracle(s.model, s.newDevice(CPU))
-				ranking := core.NewBaseline().Select(ps, oracle, 1.0)
-				windows++
-				for ki, K := range KSweep {
-					n := ps.TopCount(K)
-					recSum[ki] += video.Recall(ranking[:min(n, len(ranking))], truth)
-				}
-			}
-		}
-		pts := make([]Point, len(KSweep))
-		for ki, K := range KSweep {
-			rec := 1.0
-			if windows > 0 {
-				rec = recSum[ki] / float64(windows)
-			}
-			pts[ki] = Point{Param: K, REC: rec}
-		}
-		out[dsName] = pts
+		out[dsName] = s.recKCurve(dsName)
 	}
 	for ki, K := range KSweep {
 		row := []string{f3(K)}
@@ -80,6 +52,40 @@ func (s *Suite) Fig3(w io.Writer) map[string][]Point {
 	t.Fprint(w)
 	printRecKChart(w, "Figure 3 (chart): REC vs K", out)
 	return out
+}
+
+// recKCurve is one dataset's REC-K curve of the exhaustive baseline,
+// averaged over the windows that hold at least one polyonymous pair.
+func (s *Suite) recKCurve(dsName string) []Point {
+	tr := defaultTracker()
+	ds := s.Dataset(dsName)
+	recSum := make([]float64, len(KSweep))
+	windows := 0
+	for i, v := range ds.Videos {
+		ts := s.Tracks(dsName, tr, i)
+		for _, ps := range s.pairSets(ts, v.NumFrames, ds.WindowLen) {
+			truth := motmetrics.PolyonymousPairs(ps)
+			if len(truth) == 0 {
+				continue
+			}
+			oracle := reid.NewOracle(s.model, s.newDevice(CPU))
+			ranking := core.NewBaseline().Select(ps, oracle, 1.0)
+			windows++
+			for ki, K := range KSweep {
+				n := ps.TopCount(K)
+				recSum[ki] += video.Recall(ranking[:min(n, len(ranking))], truth)
+			}
+		}
+	}
+	pts := make([]Point, len(KSweep))
+	for ki, K := range KSweep {
+		rec := 1.0
+		if windows > 0 {
+			rec = recSum[ki] / float64(windows)
+		}
+		pts[ki] = Point{Param: K, REC: rec}
+	}
+	return pts
 }
 
 // pairSets enumerates the pair universes of a tracked video under the
@@ -150,17 +156,7 @@ func (s *Suite) Fig6(w io.Writer) map[string]map[int][]Curve {
 // recFPSCurves sweeps every algorithm on one dataset. batch > 1 selects
 // the "-B" variants on the accelerator.
 func (s *Suite) recFPSCurves(dsName string, kind DeviceKind, batch int) []Curve {
-	tr := defaultTracker()
-	var curves []Curve
-
-	// BL: a single exact point.
-	var bl core.Algorithm = core.NewBaseline()
-	if batch > 1 {
-		bl = core.NewBaselineB(batch)
-	}
-	r := s.Run(dsName, tr, bl, kind, DefaultK)
-	curves = append(curves, Curve{Name: bl.Name(), Points: []Point{{Param: 0, FPS: r.FPS, REC: r.REC}}})
-
+	bl := s.blCurve(dsName, kind, batch)
 	// PS: sweep eta (trial-averaged over sampling seeds).
 	psCurve := Curve{Name: "PS"}
 	if batch > 1 {
@@ -168,7 +164,7 @@ func (s *Suite) recFPSCurves(dsName string, kind DeviceKind, batch int) []Curve 
 	}
 	for _, eta := range EtaSweep {
 		eta := eta
-		r := s.RunTrials(dsName, tr, func(trial int) core.Algorithm {
+		r := s.RunTrials(dsName, defaultTracker(), func(trial int) core.Algorithm {
 			seed := s.Seed + 11 + uint64(trial)*977
 			if batch > 1 {
 				return core.NewPSB(eta, batch, seed)
@@ -177,43 +173,67 @@ func (s *Suite) recFPSCurves(dsName string, kind DeviceKind, batch int) []Curve 
 		}, kind, DefaultK)
 		psCurve.Points = append(psCurve.Points, Point{Param: eta, FPS: r.FPS, REC: r.REC})
 	}
-	curves = append(curves, psCurve)
-
-	// LCB: sweep tau. LCB-B runs the same logic on the accelerator.
-	lcbCurve := Curve{Name: "LCB"}
-	if batch > 1 {
-		lcbCurve.Name = "LCB-B"
+	return []Curve{
+		bl,
+		psCurve,
+		s.lcbCurve(dsName, kind, batch, TauSweep),
+		s.tmergeCurve(dsName, kind, batch, TauSweep, s.Seed+17, nil),
 	}
-	for _, tau := range TauSweep {
+}
+
+// blCurve is BL's single exact point.
+func (s *Suite) blCurve(dsName string, kind DeviceKind, batch int) Curve {
+	var bl core.Algorithm = core.NewBaseline()
+	if batch > 1 {
+		bl = core.NewBaselineB(batch)
+	}
+	r := s.Run(dsName, defaultTracker(), bl, kind, DefaultK)
+	return Curve{Name: bl.Name(), Points: []Point{{Param: 0, FPS: r.FPS, REC: r.REC}}}
+}
+
+// lcbCurve sweeps LCB over taus; LCB-B runs the same logic on the
+// accelerator.
+func (s *Suite) lcbCurve(dsName string, kind DeviceKind, batch int, taus []int) Curve {
+	c := Curve{Name: "LCB"}
+	if batch > 1 {
+		c.Name = "LCB-B"
+	}
+	for _, tau := range taus {
 		tau := tau
-		r := s.RunTrials(dsName, tr, func(trial int) core.Algorithm {
+		r := s.RunTrials(dsName, defaultTracker(), func(trial int) core.Algorithm {
 			seed := s.Seed + 13 + uint64(trial)*977
 			if batch > 1 {
 				return core.NewLCBB(tau, seed)
 			}
 			return core.NewLCB(tau, seed)
 		}, kind, DefaultK)
-		lcbCurve.Points = append(lcbCurve.Points, Point{Param: float64(tau), FPS: r.FPS, REC: r.REC})
+		c.Points = append(c.Points, Point{Param: float64(tau), FPS: r.FPS, REC: r.REC})
 	}
-	curves = append(curves, lcbCurve)
+	return c
+}
 
-	// TMerge: sweep tau.
-	tmCurve := Curve{Name: "TMerge"}
+// tmergeCurve sweeps TMerge over taus, trial-averaged; seed is the base
+// of the per-trial algorithm seeds, and mutate (when set) edits each
+// trial's config after TauMax and Batch are set.
+func (s *Suite) tmergeCurve(dsName string, kind DeviceKind, batch int, taus []int, seed uint64, mutate func(*core.TMergeConfig)) Curve {
+	c := Curve{Name: "TMerge"}
 	if batch > 1 {
-		tmCurve.Name = "TMerge-B"
+		c.Name = "TMerge-B"
 	}
-	for _, tau := range TauSweep {
+	for _, tau := range taus {
 		tau := tau
-		r := s.RunTrials(dsName, tr, func(trial int) core.Algorithm {
-			cfg := core.DefaultTMergeConfig(s.Seed + 17 + uint64(trial)*977)
+		r := s.RunTrials(dsName, defaultTracker(), func(trial int) core.Algorithm {
+			cfg := core.DefaultTMergeConfig(seed + uint64(trial)*977)
 			cfg.TauMax = tau
 			cfg.Batch = batch
+			if mutate != nil {
+				mutate(&cfg)
+			}
 			return core.NewTMerge(cfg)
 		}, kind, DefaultK)
-		tmCurve.Points = append(tmCurve.Points, Point{Param: float64(tau), FPS: r.FPS, REC: r.REC})
+		c.Points = append(c.Points, Point{Param: float64(tau), FPS: r.FPS, REC: r.REC})
 	}
-	curves = append(curves, tmCurve)
-	return curves
+	return c
 }
 
 // Table2 regenerates Table II: the FPS each method achieves at REC=0.80

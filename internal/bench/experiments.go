@@ -106,32 +106,7 @@ func (s *Suite) Fig7(w io.Writer) ([]Fig7Row, time.Duration) {
 // Fig8 regenerates the ablation of Figure 8: REC-FPS curves of full
 // TMerge, TMerge without BetaInit, and TMerge without ULB, on MOT-17.
 func (s *Suite) Fig8(w io.Writer) []Curve {
-	tr := defaultTracker()
-	variants := []struct {
-		name        string
-		useBetaInit bool
-		useULB      bool
-	}{
-		{"TMerge", true, true},
-		{"TMerge w/o BetaInit", false, true},
-		{"TMerge w/o ULB", true, false},
-	}
-	var curves []Curve
-	for _, v := range variants {
-		c := Curve{Name: v.name}
-		for _, tau := range TauSweep {
-			tau := tau
-			r := s.RunTrials("mot17", tr, func(trial int) core.Algorithm {
-				cfg := core.DefaultTMergeConfig(s.Seed + 8 + uint64(trial)*977)
-				cfg.TauMax = tau
-				cfg.UseBetaInit = v.useBetaInit
-				cfg.UseULB = v.useULB
-				return core.NewTMerge(cfg)
-			}, CPU, DefaultK)
-			c.Points = append(c.Points, Point{Param: float64(tau), FPS: r.FPS, REC: r.REC})
-		}
-		curves = append(curves, c)
-	}
+	curves := s.ablationCurves(TauSweep)
 	t := &Table{
 		Title:  "Figure 8: ablation of BetaInit and ULB on MOT-17",
 		Header: []string{"variant", "tau_max", "FPS", "REC"},
@@ -144,6 +119,31 @@ func (s *Suite) Fig8(w io.Writer) []Curve {
 	t.AddNote("paper shape: w/o BetaInit is the worst curve; w/o ULB sits between it and full TMerge")
 	t.Fprint(w)
 	printRecFPSChart(w, "Figure 8 (chart): ablation REC-FPS", curves)
+	return curves
+}
+
+// ablationCurves sweeps full TMerge and its two Figure 8 ablations
+// (BetaInit off, ULB off) over taus on MOT-17.
+func (s *Suite) ablationCurves(taus []int) []Curve {
+	variants := []struct {
+		name        string
+		useBetaInit bool
+		useULB      bool
+	}{
+		{"TMerge", true, true},
+		{"TMerge w/o BetaInit", false, true},
+		{"TMerge w/o ULB", true, false},
+	}
+	var curves []Curve
+	for _, v := range variants {
+		v := v
+		c := s.tmergeCurve("mot17", CPU, 1, taus, s.Seed+8, func(cfg *core.TMergeConfig) {
+			cfg.UseBetaInit = v.useBetaInit
+			cfg.UseULB = v.useULB
+		})
+		c.Name = v.name
+		curves = append(curves, c)
+	}
 	return curves
 }
 

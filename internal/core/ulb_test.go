@@ -59,42 +59,46 @@ func selectDigest(scene, variant string, seed uint64) string {
 		math.Float64bits(d.AvgRegret), math.Float64bits(d.SumDistances))
 }
 
-// goldenSelects were recorded from the sort-and-binary-search ULB pass
-// (ulbReference below). Any change to the pass must reproduce them bit
-// for bit: pruning decides which arms are sampled next, so a single
-// differing decision shifts every later draw.
+// goldenSelects pin Select bit for bit. They were first recorded from
+// the sort-and-binary-search ULB pass (ulbReference below), and any
+// change to the pass must reproduce them: pruning decides which arms are
+// sampled next, so a single differing decision shifts every later draw.
+// The Beta-posterior rows were re-recorded when Gamma moved to the
+// ziggurat normal, a change the paper-claims gate (benchrunner -exp
+// claims) accepted; the GaussianPosterior rows, which draw no Beta,
+// did not move.
 var goldenSelects = []struct {
 	scene, variant string
 	seed           uint64
 	want           string
 }{
-	{"mixed", "default", 1, "n=18 keys=4b223d41b6b1892c it=3000 in=6 out=5 drained=3 regret=3fc8230233948c6a sum=409096fcbc164e77"},
-	{"mixed", "default", 2, "n=18 keys=4be251876b108a40 it=3000 in=5 out=3 drained=3 regret=3fc831ed786d2f5b sum=40909c73648ca423"},
-	{"mixed", "default", 3, "n=18 keys=da0dfe5feefb26ec it=3000 in=7 out=8 drained=3 regret=3fc89c2e52dbbf34 sum=4090c35ca48aa14f"},
-	{"mixed", "ULBHoeffding", 1, "n=18 keys=eba90b4da2214afc it=3000 in=0 out=0 drained=3 regret=3fc7100f0c620b54 sum=4090324c307b8fb1"},
-	{"mixed", "ULBHoeffding", 2, "n=18 keys=dc464d32ebccc5a4 it=3000 in=0 out=0 drained=4 regret=3fc7193a9fdda543 sum=409035a7e5be1351"},
-	{"mixed", "ULBHoeffding", 3, "n=18 keys=a28a26acbf2a6080 it=3000 in=0 out=0 drained=4 regret=3fc721d717682dea sum=409038cf32850eda"},
-	{"mixed", "StopWhenSettled", 1, "n=18 keys=4b223d41b6b1892c it=3000 in=6 out=5 drained=3 regret=3fc8230233948c6a sum=409096fcbc164e77"},
-	{"mixed", "StopWhenSettled", 2, "n=18 keys=4be251876b108a40 it=3000 in=5 out=3 drained=3 regret=3fc831ed786d2f5b sum=40909c73648ca423"},
-	{"mixed", "StopWhenSettled", 3, "n=18 keys=da0dfe5feefb26ec it=3000 in=7 out=8 drained=3 regret=3fc89c2e52dbbf34 sum=4090c35ca48aa14f"},
-	{"mixed", "Batch=4", 1, "n=18 keys=2ddfdab59a829e58 it=3000 in=11 out=12 drained=0 regret=3fce5ce77ed40450 sum=4092e27d71333a00"},
-	{"mixed", "Batch=4", 2, "n=18 keys=26ae0bd2c7b2f688 it=3000 in=11 out=7 drained=0 regret=3fcc03618fe1cead sum=40920b3c69bf67d9"},
-	{"mixed", "Batch=4", 3, "n=18 keys=b053ff8c6739d964 it=3000 in=11 out=10 drained=0 regret=3fcf8800b8ea1db3 sum=40934cbce531e1f9"},
+	{"mixed", "default", 1, "n=18 keys=4b223d41b6b1892c it=3000 in=5 out=3 drained=3 regret=3fc817ce58600d3a sum=409092e27e8fd4e3"},
+	{"mixed", "default", 2, "n=18 keys=ebf4e183d70a222c it=3000 in=7 out=4 drained=3 regret=3fc87c80088b31f3 sum=4090b7c290d3a196"},
+	{"mixed", "default", 3, "n=18 keys=827265df402bb5dc it=3000 in=7 out=8 drained=3 regret=3fc8919321d54678 sum=4090bf7a4f568298"},
+	{"mixed", "ULBHoeffding", 1, "n=18 keys=2574eb66410379c8 it=3000 in=0 out=0 drained=4 regret=3fc7068485e768e8 sum=40902ecdb5bc26b6"},
+	{"mixed", "ULBHoeffding", 2, "n=18 keys=dc464d32ebccc5a4 it=3000 in=0 out=0 drained=4 regret=3fc7118d88a5c52b sum=409032d8427d5d00"},
+	{"mixed", "ULBHoeffding", 3, "n=18 keys=f42ef5eca57147fc it=3000 in=0 out=0 drained=4 regret=3fc724d562cabe4a sum=409039e7d2a06739"},
+	{"mixed", "StopWhenSettled", 1, "n=18 keys=4b223d41b6b1892c it=3000 in=5 out=3 drained=3 regret=3fc817ce58600d3a sum=409092e27e8fd4e3"},
+	{"mixed", "StopWhenSettled", 2, "n=18 keys=ebf4e183d70a222c it=3000 in=7 out=4 drained=3 regret=3fc87c80088b31f3 sum=4090b7c290d3a196"},
+	{"mixed", "StopWhenSettled", 3, "n=18 keys=827265df402bb5dc it=3000 in=7 out=8 drained=3 regret=3fc8919321d54678 sum=4090bf7a4f568298"},
+	{"mixed", "Batch=4", 1, "n=18 keys=b61cb323ad5878b4 it=3000 in=11 out=11 drained=0 regret=3fcf9d81a1332764 sum=4093601b276d9f02"},
+	{"mixed", "Batch=4", 2, "n=18 keys=bd8af384e6395638 it=3000 in=11 out=7 drained=0 regret=3fcf07cd1f50f768 sum=40931dfb59d9c8cb"},
+	{"mixed", "Batch=4", 3, "n=18 keys=b053ff8c6739d964 it=3000 in=11 out=11 drained=0 regret=3fd02b60a2dd22b7 sum=409397ae7919686e"},
 	{"mixed", "GaussianPosterior", 1, "n=18 keys=5e8107fff8f8bea8 it=3000 in=8 out=11 drained=3 regret=3fc9aaca2073047e sum=409126763314c6f0"},
 	{"mixed", "GaussianPosterior", 2, "n=18 keys=ee4e1bb9fa07255c it=3000 in=7 out=7 drained=3 regret=3fc911894436884b sum=4090ee56b26da075"},
 	{"mixed", "GaussianPosterior", 3, "n=18 keys=a3b5fa92c5b6f778 it=3000 in=8 out=10 drained=3 regret=3fc95c34a1fde16c sum=409109aef4056157"},
-	{"wide", "default", 1, "n=8 keys=09cb833e6117cc5f it=2033 in=0 out=143 drained=10 regret=3fd684cfdf25172c sum=40901f5ce08eee15"},
-	{"wide", "default", 2, "n=8 keys=09cb833e6117cc5f it=2069 in=0 out=143 drained=10 regret=3fd67ddfe905fae0 sum=409064f1f61071fb"},
-	{"wide", "default", 3, "n=8 keys=09cb833e6117cc5f it=2062 in=0 out=142 drained=11 regret=3fd6834c2f0873c0 sum=40905979ca1b98f7"},
-	{"wide", "ULBHoeffding", 1, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=11 regret=3fd6d5ef3539aef8 sum=409805f7488cd557"},
-	{"wide", "ULBHoeffding", 2, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=13 regret=3fd6c836e3bfae40 sum=4097fbeac8dff9d0"},
-	{"wide", "ULBHoeffding", 3, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6d9fb53651c26 sum=409808ee28a5a3ce"},
-	{"wide", "StopWhenSettled", 1, "n=8 keys=09cb833e6117cc5f it=2033 in=0 out=143 drained=10 regret=3fd684cfdf25172c sum=40901f5ce08eee15"},
-	{"wide", "StopWhenSettled", 2, "n=8 keys=09cb833e6117cc5f it=2069 in=0 out=143 drained=10 regret=3fd67ddfe905fae0 sum=409064f1f61071fb"},
-	{"wide", "StopWhenSettled", 3, "n=8 keys=09cb833e6117cc5f it=2062 in=0 out=142 drained=11 regret=3fd6834c2f0873c0 sum=40905979ca1b98f7"},
-	{"wide", "Batch=4", 1, "n=8 keys=09cb833e6117cc5f it=2038 in=0 out=143 drained=10 regret=3fd683ecec0530c2 sum=409029129753f28b"},
-	{"wide", "Batch=4", 2, "n=8 keys=09cb833e6117cc5f it=2053 in=0 out=143 drained=10 regret=3fd67e9b2a80b514 sum=409044db1fb85899"},
-	{"wide", "Batch=4", 3, "n=8 keys=09cb833e6117cc5f it=2045 in=0 out=142 drained=11 regret=3fd683ebf0715dca sum=40903747cd1ddc0c"},
+	{"wide", "default", 1, "n=8 keys=09cb833e6117cc5f it=2039 in=0 out=143 drained=10 regret=3fd6829df3465142 sum=40902a73834a3cea"},
+	{"wide", "default", 2, "n=8 keys=09cb833e6117cc5f it=2044 in=0 out=143 drained=10 regret=3fd679429eae91f4 sum=40902fee22b6d151"},
+	{"wide", "default", 3, "n=8 keys=09cb833e6117cc5f it=2066 in=0 out=142 drained=11 regret=3fd6834e17b72c5a sum=409061994810b5a8"},
+	{"wide", "ULBHoeffding", 1, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6c82980ed72ec sum=4097fbe0fafeff5c"},
+	{"wide", "ULBHoeffding", 2, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6d185a3f722ce sum=409802bbf6a897ae"},
+	{"wide", "ULBHoeffding", 3, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6dfc3405309d4 sum=40980d2a16ade762"},
+	{"wide", "StopWhenSettled", 1, "n=8 keys=09cb833e6117cc5f it=2039 in=0 out=143 drained=10 regret=3fd6829df3465142 sum=40902a73834a3cea"},
+	{"wide", "StopWhenSettled", 2, "n=8 keys=09cb833e6117cc5f it=2044 in=0 out=143 drained=10 regret=3fd679429eae91f4 sum=40902fee22b6d151"},
+	{"wide", "StopWhenSettled", 3, "n=8 keys=09cb833e6117cc5f it=2066 in=0 out=142 drained=11 regret=3fd6834e17b72c5a sum=409061994810b5a8"},
+	{"wide", "Batch=4", 1, "n=8 keys=09cb833e6117cc5f it=2005 in=0 out=143 drained=10 regret=3fd6836bb161dde8 sum=408fcbac58587269"},
+	{"wide", "Batch=4", 2, "n=8 keys=09cb833e6117cc5f it=2071 in=0 out=143 drained=10 regret=3fd67f508e980232 sum=409069baf0fab52a"},
+	{"wide", "Batch=4", 3, "n=8 keys=09cb833e6117cc5f it=2036 in=0 out=142 drained=11 regret=3fd681ffd0f0e068 sum=4090240e23ca7c19"},
 	{"wide", "GaussianPosterior", 1, "n=8 keys=09cb833e6117cc5f it=2080 in=0 out=143 drained=10 regret=3fd68dccbeaed4aa sum=4090835874aa0367"},
 	{"wide", "GaussianPosterior", 2, "n=8 keys=09cb833e6117cc5f it=2132 in=0 out=143 drained=10 regret=3fd68c2f83234a0c sum=4090ec30605647fd"},
 	{"wide", "GaussianPosterior", 3, "n=8 keys=09cb833e6117cc5f it=2098 in=0 out=142 drained=11 regret=3fd6889e22f252d8 sum=4090a54627629dce"},
@@ -109,7 +113,7 @@ var goldenSelects = []struct {
 	{"allIn", "StopWhenSettled", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd3 sum=400176651eb0ff01"},
 	{"allIn", "Batch=4", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ad6 sum=4001cd69bc5a188f"},
 	{"allIn", "Batch=4", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa578 sum=400174559b55b72a"},
-	{"allIn", "Batch=4", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd5 sum=400176651eb0ff02"},
+	{"allIn", "Batch=4", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd3 sum=400176651eb0ff01"},
 	{"allIn", "GaussianPosterior", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ad6 sum=4001cd69bc5a188f"},
 	{"allIn", "GaussianPosterior", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa57a sum=400174559b55b72b"},
 	{"allIn", "GaussianPosterior", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd5 sum=400176651eb0ff02"},

@@ -55,9 +55,11 @@ func longHorizonOracle() *reid.Oracle {
 // TestLongHorizonFingerprintsPinned pins the streaming fingerprints of
 // 1,200-frame longhorizon sessions, plain and history mode, to the values
 // recorded before sessions retired tracks and evicted feature-cache
-// entries: retirement must not change what a session computes.
+// entries: retirement must not change what a session computes. The
+// values were re-recorded when Gamma moved to the ziggurat normal, which
+// changes TMerge's Thompson draws (accepted by benchrunner -exp claims).
 func TestLongHorizonFingerprintsPinned(t *testing.T) {
-	want := map[uint64]string{1: "73a9e10ff5d2f07e", 2: "6e4c29f4ec1b8bb3", 3: "c8f284477aaf45a1"}
+	want := map[uint64]string{1: "afc0dd838a804a87", 2: "36cd9a5c0083d042", 3: "ef05ee75ac3ffabe"}
 	for seed := uint64(1); seed <= 3; seed++ {
 		if testing.Short() && seed > 1 {
 			continue

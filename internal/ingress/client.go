@@ -293,7 +293,7 @@ func (c *Client) flushLocked(ctx context.Context) error {
 				return true, err
 			}
 			c.applyAck(pr)
-			return false, nil
+			return len(c.pending()) == 0, nil
 		},
 	})
 }
@@ -357,6 +357,9 @@ func (c *Client) do(ctx context.Context, op operation) error {
 		default:
 			return errBodyErr(op.name, c.cfg.Stream, status, resp)
 		}
+	}
+	if lastErr == nil {
+		return fmt.Errorf("ingress: %s %s: %d attempts exhausted", op.name, c.cfg.Stream, c.cfg.MaxAttempts)
 	}
 	return fmt.Errorf("ingress: %s %s: %d attempts exhausted: %w", op.name, c.cfg.Stream, c.cfg.MaxAttempts, lastErr)
 }

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/tmerge/tmerge/internal/video"
 )
 
 // newTestClient builds a client with a recording fake sleeper, so
@@ -209,5 +211,68 @@ func TestClientResendsOnTimeout(t *testing.T) {
 	}
 	if st.RecordsSent < 2 {
 		t.Fatalf("records sent = %d, want >= 2 (resend)", st.RecordsSent)
+	}
+}
+
+// TestFlushLastAttemptAckedInFull scripts a flush that spends its whole
+// budget: MaxAttempts 2, a 404 that makes the client re-register, then a
+// 200 acknowledging every record. The final 200 delivered everything, so
+// Flush must succeed rather than report the attempts exhausted.
+func TestFlushLastAttemptAckedInFull(t *testing.T) {
+	var mu sync.Mutex
+	pushes := 0
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/streams/s" {
+			writeJSON(w, 200, RegisterResponse{Stream: "s", AckedSeq: -1})
+			return
+		}
+		mu.Lock()
+		n := pushes
+		pushes++
+		mu.Unlock()
+		if n == 0 {
+			writeError(w, http.StatusNotFound, CodeUnknownStream, "unknown stream", 0)
+			return
+		}
+		recs, err := DecodePushBatch(r.Body, 0)
+		if err != nil || len(recs) == 0 {
+			writeError(w, http.StatusBadRequest, CodeBadRequest, "bad batch", 0)
+			return
+		}
+		writeJSON(w, 200, PushResponse{
+			AckedSeq:     recs[len(recs)-1].Seq,
+			NextFrame:    int64(recs[len(recs)-1].Frame) + 1,
+			DurableFrame: -1,
+		})
+	}))
+	defer srv.Close()
+
+	c, err := NewClient(ClientConfig{
+		BaseURL: srv.URL, Stream: "s", Seed: 9,
+		RequestTimeout: 2 * time.Second,
+		MaxAttempts:    2,
+		BatchFrames:    8,
+		Sleep:          func(time.Duration) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.Register(ctx, RegisterRequest{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for f := 0; f < 3; f++ {
+		if err := c.Push(ctx, video.FrameIndex(f), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(ctx); err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if st := c.Stats(); st.Reattaches != 1 {
+		t.Fatalf("reattaches = %d, want 1", st.Reattaches)
+	}
+	if pushes != 2 {
+		t.Fatalf("push requests = %d, want 2", pushes)
 	}
 }

@@ -7,6 +7,21 @@
 // (derived) by label so that adding randomness in one module does not
 // perturb another — a property the experiment harness relies on when
 // comparing algorithms on identical inputs.
+//
+// One uniform source (SplitMix64, Uint64) feeds everything; the normal
+// deviates come from one of two paths, fixed per caller class:
+//
+//   - NormFloat64 and Gaussian use the polar Box–Muller method with a
+//     cached spare. They feed the synthetic scenes (synth), the ReID
+//     models (reid) and TMerge's Gaussian-posterior variant, and their
+//     streams are pinned: changing them would change every dataset.
+//   - Gamma, and through it Beta, draws its normals from a 128-layer
+//     ziggurat (Marsaglia & Tsang 2000) that needs no logarithm on its
+//     fast path. It feeds TMerge's Thompson draws, whose acceptance
+//     rests on the paper's claims reproducing (benchrunner -exp
+//     claims), not on bit-identical streams.
+//
+// Exp inverts a uniform; no hot caller draws exponentials.
 package xrand
 
 import (
@@ -64,12 +79,9 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Split derives a new independent stream from r using a label. Derived
-// streams are stable: the same parent seed and label always yield the same
-// child stream, regardless of how much the parent has been consumed
-// elsewhere — Split hashes the parent's *seed state at creation*, not its
-// consumption position, only when used via Deriver. For RNG, Split consumes
-// one value from r.
+// Split returns a child stream seeded from r's next value, so it
+// consumes one value of r and depends on how far r has been drawn. Use
+// Derive or DeriveN for a child that depends only on a seed and a label.
 func (r *RNG) Split() *RNG {
 	return New(r.Uint64())
 }
@@ -166,8 +178,9 @@ func (r *RNG) Exp(rate float64) float64 {
 	return -math.Log(u) / rate
 }
 
-// Gamma returns a Gamma(shape, 1) deviate using the Marsaglia–Tsang method.
-// shape must be > 0.
+// Gamma returns a Gamma(shape, 1) deviate using the Marsaglia–Tsang
+// method, driven by the ziggurat normal. shape must be > 0; shapes below
+// 1 are boosted through Gamma(shape+1).
 func (r *RNG) Gamma(shape float64) float64 {
 	if shape <= 0 {
 		panic("xrand: Gamma with non-positive shape")
@@ -183,7 +196,7 @@ func (r *RNG) Gamma(shape float64) float64 {
 	d := shape - 1.0/3.0
 	c := 1 / math.Sqrt(9*d)
 	for {
-		x := r.NormFloat64()
+		x := r.zigNorm()
 		v := 1 + c*x
 		if v <= 0 {
 			continue
