@@ -16,7 +16,9 @@
 // expected shapes next to the paper's reported values. With -json, every
 // executed experiment additionally appends its structured result to the
 // given file as line-delimited JSON (one bench.Record per line, the same
-// NDJSON convention as tmergevet -json).
+// NDJSON convention as tmergevet -json). A failed gate in claims,
+// servebench or histbench still has its record written, and the
+// profiles stopped, before the run exits 1.
 //
 // histbench streams a million-track synthetic workload through the
 // log-structured history spine (tiered view over a segmented on-disk
@@ -119,6 +121,20 @@ func main() {
 		os.Exit(code)
 	}
 
+	// code is the exit status. A failed gate sets 1 and a run error
+	// (runErr) 2; either way the records gathered so far are written and
+	// the profiles stopped before the process exits, so a failed gate
+	// still leaves its rows behind.
+	code := 0
+	var runErr error
+	gateFailed := func(exp string, fails []string) {
+		for _, f := range fails {
+			fmt.Fprintf(os.Stderr, "benchrunner: %s FAIL: %s\n", exp, f)
+		}
+		if len(fails) > 0 {
+			code = 1
+		}
+	}
 	runners := map[string]func() any{
 		"fig3": func() any { return s.Fig3(w) },
 		"fig4": func() any { return s.Fig4(w) },
@@ -146,15 +162,10 @@ func main() {
 			statuses := applyStreamsOverride(&cfg, *streams)
 			rows, err := bench.ServeBench(context.Background(), w, cfg)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchrunner: servebench:", err)
-				os.Exit(2)
+				runErr = fmt.Errorf("servebench: %w", err)
+				return nil
 			}
-			if fails := bench.CheckServeBench(rows, cfg.Frames); len(fails) > 0 {
-				for _, f := range fails {
-					fmt.Fprintln(os.Stderr, "benchrunner: servebench FAIL:", f)
-				}
-				os.Exit(1)
-			}
+			gateFailed("servebench", bench.CheckServeBench(rows, cfg.Frames))
 			if len(statuses) > 0 {
 				return map[string]any{"rows": rows, "gates": statuses}
 			}
@@ -167,23 +178,18 @@ func main() {
 			if cfg.Dir == "" {
 				dir, err := os.MkdirTemp("", "histbench-")
 				if err != nil {
-					fmt.Fprintln(os.Stderr, "benchrunner: histbench:", err)
-					os.Exit(2)
+					runErr = fmt.Errorf("histbench: %w", err)
+					return nil
 				}
 				defer os.RemoveAll(dir)
 				cfg.Dir = dir
 			}
 			row, statuses, err := bench.HistBench(w, cfg)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "benchrunner: histbench:", err)
-				os.Exit(2)
+				runErr = fmt.Errorf("histbench: %w", err)
+				return nil
 			}
-			if fails := bench.CheckHistBench([]bench.HistBenchRow{row}, statuses, cfg.CompactEvery); len(fails) > 0 {
-				for _, f := range fails {
-					fmt.Fprintln(os.Stderr, "benchrunner: histbench FAIL:", f)
-				}
-				os.Exit(1)
-			}
+			gateFailed("histbench", bench.CheckHistBench([]bench.HistBenchRow{row}, statuses, cfg.CompactEvery))
 			return map[string]any{"row": row, "gates": statuses}
 		},
 		"claims": func() any {
@@ -199,7 +205,7 @@ func main() {
 			}
 			if failed > 0 {
 				fmt.Fprintf(os.Stderr, "benchrunner: claims gate failed: %d of %d claim(s) do not reproduce\n", failed, len(statuses))
-				os.Exit(1)
+				code = 1
 			}
 			return map[string]any{"samples": samples, "gates": statuses}
 		},
@@ -232,6 +238,11 @@ func main() {
 	for _, name := range names {
 		start := time.Now()
 		payload := runners[name]()
+		if runErr != nil {
+			fmt.Fprintln(os.Stderr, "benchrunner:", runErr)
+			code = 2
+			break
+		}
 		elapsed := time.Since(start)
 		fmt.Fprintf(w, "[%s completed in %s]\n", name, elapsed.Round(time.Millisecond))
 		records = append(records, bench.Record{
@@ -246,10 +257,11 @@ func main() {
 	if *jsonOut != "" {
 		if err := writeTo(*jsonOut, func(f *os.File) error { return bench.WriteRecords(f, records) }); err != nil {
 			fmt.Fprintln(os.Stderr, "benchrunner:", err)
-			os.Exit(2)
+			code = 2
 		}
 	}
 	stopProfiles()
+	os.Exit(code)
 }
 
 // startProfiles begins CPU profiling and/or arms a heap-profile dump,

@@ -2,9 +2,12 @@ package dataset
 
 import (
 	"path/filepath"
+	"sort"
 	"testing"
 
+	"github.com/tmerge/tmerge/internal/device"
 	"github.com/tmerge/tmerge/internal/motmetrics"
+	"github.com/tmerge/tmerge/internal/reid"
 	"github.com/tmerge/tmerge/internal/track"
 	"github.com/tmerge/tmerge/internal/video"
 )
@@ -90,6 +93,49 @@ func TestCalibratedPolyonymousRate(t *testing.T) {
 		if rate > 0.10 {
 			t.Errorf("%s: polyonymous rate %.1f%% implausibly high", name, 100*rate)
 		}
+	}
+}
+
+// The premise the bandit searches on: after Tracktor, a polyonymous
+// pair's exact mean ReID distance sits below almost every cross-object
+// pair's, so the few pairs worth merging are the ones a sampler of
+// distances can find.
+func TestPolyonymousPairsAreClosest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("calibration test is slow")
+	}
+	p := MOT17Like(42)
+	p.NumVideos = 3
+	ds, err := p.Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := reid.NewModel(42^0x5EED, AppearanceDim)
+	var poly, cross []float64
+	for _, v := range ds.Videos {
+		ts := track.Tracktor().Track(v.Detections)
+		ps := video.BuildPairSet(video.Window{Start: 0, End: video.FrameIndex(v.NumFrames - 1)}, ts.Sorted(), nil)
+		truth := motmetrics.PolyonymousPairs(ps)
+		oracle := reid.NewOracle(model, device.NewCPU(device.DefaultCPU))
+		for i, m := range oracle.TrackPairMeans(ps.Pairs) {
+			if truth[ps.Pairs[i].Key] {
+				poly = append(poly, m)
+			} else {
+				cross = append(cross, m)
+			}
+		}
+	}
+	if len(poly) < 10 {
+		t.Fatalf("%d polyonymous pairs, too few to judge", len(poly))
+	}
+	sort.Float64s(poly)
+	sort.Float64s(cross)
+	q := func(xs []float64, f float64) float64 { return xs[int(f*float64(len(xs)-1))] }
+	t.Logf("%d polyonymous pair means q50 %.3f q90 %.3f; %d cross-object q01 %.3f q05 %.3f q50 %.3f",
+		len(poly), q(poly, .5), q(poly, .9), len(cross), q(cross, .01), q(cross, .05), q(cross, .5))
+	if q(poly, .5) >= q(cross, .05) {
+		t.Errorf("median polyonymous pair mean %.3f not below the 5th-percentile cross-object mean %.3f",
+			q(poly, .5), q(cross, .05))
 	}
 }
 

@@ -1,8 +1,10 @@
 package ingest
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"github.com/tmerge/tmerge/internal/checkpoint"
@@ -280,6 +282,128 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 	}
 
 	return checkpoint.Seal(&st)
+}
+
+// CheckpointNextFrame reads the frame cursor, next_frame, out of
+// checkpoint bytes that Checkpoint sealed, without verifying the
+// checksum or decoding the payload: a token scan over the envelope's
+// top-level keys to its payload, then over the payload's top-level keys
+// to next_frame, which sessionState writes after five scalars. It is
+// for bytes a session has just handed its CheckpointSink. Bytes read
+// back from storage may be corrupt and must go through Restore or
+// checkpoint.Open, which verify them.
+func CheckpointNextFrame(data []byte) (video.FrameIndex, error) {
+	payload, err := topLevelValue(data, "payload")
+	if err != nil {
+		return 0, fmt.Errorf("ingest: checkpoint cursor: envelope: %w", err)
+	}
+	v, err := topLevelValue(payload, "next_frame")
+	if err != nil {
+		return 0, fmt.Errorf("ingest: checkpoint cursor: payload: %w", err)
+	}
+	next, err := strconv.ParseInt(string(v[:scalarEnd(v, 0)]), 10, 64)
+	if err != nil {
+		return 0, fmt.Errorf("ingest: checkpoint cursor: next_frame: %w", err)
+	}
+	return video.FrameIndex(next), nil
+}
+
+// topLevelValue returns the value of the key name in the JSON object
+// at the start of data, through to the end of data. The values of the
+// keys before it are skipped by bracket depth, stepping over strings,
+// so neither a nested key nor a string that spells the name matches.
+// Keys compare as written; the session schema's keys need no escapes.
+func topLevelValue(data []byte, name string) ([]byte, error) {
+	i := skipSpace(data, 0)
+	if i >= len(data) || data[i] != '{' {
+		return nil, errors.New("not a JSON object")
+	}
+	for i++; ; i++ {
+		i = skipSpace(data, i)
+		if i >= len(data) || data[i] != '"' {
+			return nil, fmt.Errorf("no %s key", name)
+		}
+		end := stringEnd(data, i)
+		if end < 0 {
+			return nil, errors.New("truncated key")
+		}
+		key := data[i+1 : end-1]
+		if i = skipSpace(data, end); i >= len(data) || data[i] != ':' {
+			return nil, errors.New("no ':' after a key")
+		}
+		i = skipSpace(data, i+1)
+		if string(key) == name {
+			return data[i:], nil
+		}
+		if i = valueEnd(data, i); i < 0 {
+			return nil, errors.New("truncated value")
+		}
+		if i = skipSpace(data, i); i >= len(data) || data[i] != ',' {
+			return nil, fmt.Errorf("no %s key", name)
+		}
+	}
+}
+
+func skipSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// stringEnd returns the index just past the string whose opening quote
+// is data[i], or -1 if it is unterminated.
+func stringEnd(data []byte, i int) int {
+	for i++; i < len(data); i++ {
+		switch data[i] {
+		case '\\':
+			i++
+		case '"':
+			return i + 1
+		}
+	}
+	return -1
+}
+
+// scalarEnd returns the index just past the number or literal starting
+// at data[i].
+func scalarEnd(data []byte, i int) int {
+	for ; i < len(data); i++ {
+		switch data[i] {
+		case ',', ':', '{', '}', '[', ']', '"', ' ', '\t', '\n', '\r':
+			return i
+		}
+	}
+	return i
+}
+
+// valueEnd returns the index just past the value starting at data[i],
+// or -1 if it is truncated.
+func valueEnd(data []byte, i int) int {
+	depth := 0
+	for i < len(data) {
+		switch data[i] {
+		case '"':
+			if i = stringEnd(data, i); i < 0 {
+				return -1
+			}
+		case '{', '[':
+			depth++
+			i++
+		case '}', ']':
+			depth--
+			i++
+		default:
+			i = max(scalarEnd(data, i), i+1)
+		}
+		if depth == 0 {
+			return i
+		}
+		if depth < 0 {
+			return -1
+		}
+	}
+	return -1
 }
 
 // Restore reconstructs an ingestion session from checkpoint bytes. The

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/tmerge/tmerge/internal/checkpoint"
 	"github.com/tmerge/tmerge/internal/core"
 	"github.com/tmerge/tmerge/internal/dataset"
 	"github.com/tmerge/tmerge/internal/device"
@@ -412,5 +413,90 @@ func TestConfigValidatesDurabilityFields(t *testing.T) {
 		AutoCheckpointEvery: 3, CheckpointSink: func([]byte) error { return nil }}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid durability config rejected: %v", err)
+	}
+}
+
+// TestCheckpointNextFrameMatchesOpen: the unverified cursor scan reads
+// the next_frame that a verified checkpoint.Open decodes, on every
+// checkpoint a plain and a history session hand their sinks.
+func TestCheckpointNextFrameMatchesOpen(t *testing.T) {
+	v := streamScene(t)
+	for _, history := range []bool{false, true} {
+		var sealed [][]byte
+		cfg := Config{
+			WindowLen:           200,
+			K:                   0.05,
+			Algorithm:           sqAlgorithms(5)["spatial"],
+			AutoCheckpointEvery: 1,
+			CheckpointSink: func(data []byte) error {
+				sealed = append(sealed, data)
+				return nil
+			},
+		}
+		if history {
+			cfg.History = &HistoryConfig{Dir: t.TempDir(), HotHorizon: 400, WindowsPerSegment: 2}
+		}
+		oracle := reid.NewOracle(reid.NewModel(7, dataset.AppearanceDim), device.NewCPU(device.DefaultCPU))
+		in, err := New(track.Tracktor(), oracle, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, dets := range v.Detections[:1100] {
+			in.PushAt(video.FrameIndex(f), dets)
+		}
+		data, err := in.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed = append(sealed, data)
+		if len(sealed) < 5 {
+			t.Fatalf("history=%v: %d checkpoints sealed, want at least 5", history, len(sealed))
+		}
+		for i, data := range sealed {
+			var want struct {
+				NextFrame video.FrameIndex `json:"next_frame"`
+			}
+			if err := checkpoint.Open(data, &want); err != nil {
+				t.Fatal(err)
+			}
+			got, err := CheckpointNextFrame(data)
+			if err != nil || got != want.NextFrame {
+				t.Errorf("history=%v checkpoint %d: CheckpointNextFrame = %d, %v; checkpoint.Open reads %d",
+					history, i, got, err, want.NextFrame)
+			}
+		}
+	}
+}
+
+// TestCheckpointNextFrameScansTopLevel: the cursor comes from the
+// payload's own top-level key, not from a nested object or a string
+// that spells it, and malformed bytes fail instead of guessing.
+func TestCheckpointNextFrameScansTopLevel(t *testing.T) {
+	data, err := checkpoint.Seal(struct {
+		A         map[string]any   `json:"a"`
+		B         []any            `json:"b"`
+		S         string           `json:"s"`
+		NextFrame video.FrameIndex `json:"next_frame"`
+	}{
+		A:         map[string]any{"next_frame": 99, "x": []any{"}", "]", map[string]any{"next_frame": 98}}},
+		B:         []any{1.5e-300, "\"next_frame\":97", nil, true},
+		S:         `\"next_frame":96`,
+		NextFrame: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := CheckpointNextFrame(data); err != nil || got != 7 {
+		t.Fatalf("CheckpointNextFrame = %d, %v; want 7", got, err)
+	}
+	for i := 0; i < len(data); i++ {
+		if _, err := CheckpointNextFrame(data[:i]); err == nil && i < bytes.Index(data, []byte(`"next_frame":7`)) {
+			t.Fatalf("truncation at byte %d read a cursor", i)
+		}
+	}
+	for _, bad := range []string{``, `[]`, `{"payload":[]}`, `{"payload":{"next_frame":"7"}}`, `{"payload":{"next_frame":1.5}}`, `{"format":"x"}`} {
+		if got, err := CheckpointNextFrame([]byte(bad)); err == nil {
+			t.Errorf("CheckpointNextFrame(%q) = %d, want an error", bad, got)
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/tmerge/tmerge/internal/checkpoint"
+	"github.com/tmerge/tmerge/internal/ingest"
 	"github.com/tmerge/tmerge/internal/serve"
 	"github.com/tmerge/tmerge/internal/video"
 )
@@ -220,14 +221,17 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 
 // chainSink wraps a spec's checkpoint sink: every periodic checkpoint is
 // stored (crash durability) and advances the stream's durable mark
-// before the original sink, if any, runs. It is called from worker
-// goroutines mid-push and must not take the server or stream mutexes.
+// before the original sink, if any, runs. The mark comes from
+// ingest.CheckpointNextFrame, an unverified scan: the bytes were sealed
+// by the session a moment ago, so a checksum and a full decode would
+// only repeat its work. It is called from worker goroutines mid-push
+// and must not take the server or stream mutexes.
 func (s *Server) chainSink(id string, st *sstream, user func([]byte) error) func([]byte) error {
 	return func(data []byte) error {
 		if err := s.store.Put(id, data); err != nil {
 			return fmt.Errorf("ingress: store checkpoint for %q: %w", id, err)
 		}
-		if next, err := peekNextFrame(data); err == nil {
+		if next, err := ingest.CheckpointNextFrame(data); err == nil {
 			st.durable.Store(int64(next))
 		}
 		if user != nil {
@@ -412,10 +416,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// peekNextFrame reads just the frame cursor out of sealed checkpoint
-// bytes (the envelope's payload carries next_frame at top level), the
-// cheap way registration and the durability mark learn what a
-// checkpoint covers without rebuilding a session.
+// peekNextFrame opens a stored checkpoint, verifying its envelope and
+// checksum and decoding its payload, for the one field registration
+// needs: the frame cursor (the payload's top-level next_frame). A store
+// can hold corrupt bytes, and registration refuses them here, before a
+// session is built on them.
 func peekNextFrame(data []byte) (video.FrameIndex, error) {
 	var p struct {
 		NextFrame video.FrameIndex `json:"next_frame"`

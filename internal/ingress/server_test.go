@@ -398,3 +398,60 @@ func checkNoGoroutineLeak(t *testing.T, before int) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// TestServerRefusesCorruptStoredCheckpoint: registration opens a stored
+// checkpoint through the verified path, so a corrupt one fails with a
+// 500 instead of resuming a stream from bytes that only look like a
+// cursor (the unverified scan the durable mark uses still reads one).
+func TestServerRefusesCorruptStoredCheckpoint(t *testing.T) {
+	streams, err := loadgen.Generate(loadgen.Config{Seed: 73, Streams: 1, Frames: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := streams[0]
+	engine, oracle := testPipeline(s.Seed)()
+	in, err := ingest.New(engine, oracle, testIngestCfg(s.Seed, 40, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dets := range s.Video.Detections {
+		in.Push(dets)
+	}
+	data, err := in.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-20] ^= 1
+	if next, err := ingest.CheckpointNextFrame(data); err != nil || next != 60 {
+		t.Fatalf("CheckpointNextFrame on the flipped bytes = %d, %v; want 60", next, err)
+	}
+	store := NewMemStore()
+	if err := store.Put(s.ID, data); err != nil {
+		t.Fatal(err)
+	}
+	srv, hs := newTestServer(t, ServerConfig{Store: store, Serve: serve.Config{Workers: 1}})
+	defer hs.Close()
+	defer srv.Shutdown()
+	body := mustMarshal(t, RegisterRequest{Seed: s.Seed})
+	resp, err := http.Post(hs.URL+"/v1/streams/"+s.ID, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb ErrorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusInternalServerError || eb.Code != CodeInternal || !strings.Contains(eb.Error, "checksum") {
+		t.Fatalf("register over a corrupt checkpoint: HTTP %d %+v, want 500 %s naming the checksum", resp.StatusCode, eb, CodeInternal)
+	}
+}
+
+func mustMarshal(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}

@@ -18,11 +18,10 @@
 package ingress
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"github.com/tmerge/tmerge/internal/video"
 )
@@ -179,13 +178,14 @@ const DefaultMaxLineBytes = 1 << 20
 // Empty lines are skipped. The error for line N never hides how many
 // lines were well-formed before it: decoded records up to the failure
 // are returned alongside the error so callers can report a precise
-// reject.
+// reject. Each line is parsed by the hand-written push codec, whose
+// grammar DESIGN.md §13 gives.
 func DecodePushBatch(r io.Reader, maxLine int) ([]PushRecord, error) {
 	if maxLine <= 0 {
 		maxLine = DefaultMaxLineBytes
 	}
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 4096), maxLine)
+	d := decoders.Get().(*pushDecoder)
+	defer d.release()
 	var (
 		out      []PushRecord
 		line     int
@@ -193,14 +193,23 @@ func DecodePushBatch(r io.Reader, maxLine int) ([]PushRecord, error) {
 		havePrev bool
 		prevFr   video.FrameIndex
 	)
-	for sc.Scan() {
+	for {
+		raw, ok, err := d.readLine(r, maxLine)
+		if err == errLineTooLong {
+			return out, fmt.Errorf("ingress: push line %d: line exceeds %d bytes", line+1, maxLine)
+		}
+		if err != nil {
+			return out, fmt.Errorf("ingress: push body: %w", err)
+		}
+		if !ok {
+			return out, nil
+		}
 		line++
-		raw := sc.Bytes()
 		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
-		var rec PushRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		rec, err := d.record(raw)
+		if err != nil {
 			return out, fmt.Errorf("ingress: push line %d: %w", line, err)
 		}
 		if rec.Seq < 0 {
@@ -215,34 +224,45 @@ func DecodePushBatch(r io.Reader, maxLine int) ([]PushRecord, error) {
 		if havePrev && rec.Frame <= prevFr {
 			return out, fmt.Errorf("ingress: push line %d: frame %d not increasing (previous %d)", line, rec.Frame, prevFr)
 		}
-		for i, d := range rec.Dets {
-			if err := d.Validate(); err != nil {
+		for i, det := range rec.Dets {
+			if err := det.Validate(); err != nil {
 				return out, fmt.Errorf("ingress: push line %d det %d: %w", line, i, err)
 			}
-			if d.Frame != rec.Frame {
-				return out, fmt.Errorf("ingress: push line %d det %d: frame %d does not match record frame %d", line, i, d.Frame, rec.Frame)
+			if det.Frame != rec.Frame {
+				return out, fmt.Errorf("ingress: push line %d det %d: frame %d does not match record frame %d", line, i, det.Frame, rec.Frame)
 			}
 		}
 		prevSeq, prevFr, havePrev = rec.Seq, rec.Frame, true
 		out = append(out, rec)
 	}
-	if err := sc.Err(); err != nil {
-		if err == bufio.ErrTooLong {
-			return out, fmt.Errorf("ingress: push line %d: line exceeds %d bytes", line+1, maxLine)
-		}
-		return out, fmt.Errorf("ingress: push body: %w", err)
-	}
-	return out, nil
 }
 
+// encodeBufs recycles EncodePushBatch's output buffers.
+var encodeBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // EncodePushBatch writes records as NDJSON, the inverse of
-// DecodePushBatch.
+// DecodePushBatch: byte for byte what a json.Encoder writes for each
+// record, in one Write. On a record json.Encoder refuses (a non-finite
+// float) it writes the records before it and returns json.Encoder's
+// error.
 func EncodePushBatch(w io.Writer, recs []PushRecord) error {
-	enc := json.NewEncoder(w)
+	bp := encodeBufs.Get().(*[]byte)
+	defer encodeBufs.Put(bp)
+	b := (*bp)[:0]
+	var err error
 	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			return fmt.Errorf("ingress: encode push record %d: %w", i, err)
+		n := len(b)
+		if b, err = appendPushRecord(b, &recs[i]); err != nil {
+			b = b[:n]
+			err = fmt.Errorf("ingress: encode push record %d: %w", i, err)
+			break
 		}
 	}
-	return nil
+	*bp = b
+	if len(b) > 0 {
+		if _, werr := w.Write(b); werr != nil && err == nil {
+			err = fmt.Errorf("ingress: write push batch: %w", werr)
+		}
+	}
+	return err
 }

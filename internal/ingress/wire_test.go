@@ -1,11 +1,18 @@
 package ingress
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math"
 	"strings"
 	"testing"
 
 	"github.com/tmerge/tmerge/internal/geom"
+	"github.com/tmerge/tmerge/internal/serve/loadgen"
 	"github.com/tmerge/tmerge/internal/video"
 )
 
@@ -89,10 +96,169 @@ func TestDecodePushBatchSkipsBlankLines(t *testing.T) {
 	}
 }
 
-// FuzzDecodePushBatch is the hardened-decoder harness: arbitrary bytes
-// must never panic the decoder, and anything it accepts must satisfy
-// the protocol invariants the server relies on (monotone seq and frame,
-// frame range, valid finite detections).
+// oracleDecodePushBatch is DecodePushBatch as it was written on
+// encoding/json: the differential tests' reference for which lines are
+// push records and what they decode to.
+func oracleDecodePushBatch(r io.Reader, maxLine int) ([]PushRecord, error) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4096), maxLine)
+	var (
+		out      []PushRecord
+		line     int
+		prevSeq  int64 = -1
+		havePrev bool
+		prevFr   video.FrameIndex
+	)
+	for sc.Scan() {
+		line++
+		raw := sc.Bytes()
+		if len(bytes.TrimSpace(raw)) == 0 {
+			continue
+		}
+		var rec PushRecord
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			return out, fmt.Errorf("line %d: %w", line, err)
+		}
+		if rec.Seq < 0 || rec.Seq <= prevSeq || rec.Frame < 0 || rec.Frame > video.MaxFrameIndex ||
+			(havePrev && rec.Frame <= prevFr) {
+			return out, fmt.Errorf("line %d: seq or frame out of order", line)
+		}
+		for i, d := range rec.Dets {
+			if err := d.Validate(); err != nil || d.Frame != rec.Frame {
+				return out, fmt.Errorf("line %d det %d: invalid", line, i)
+			}
+		}
+		prevSeq, prevFr, havePrev = rec.Seq, rec.Frame, true
+		out = append(out, rec)
+	}
+	if err := sc.Err(); err != nil {
+		return out, fmt.Errorf("line %d: %w", line+1, err)
+	}
+	return out, nil
+}
+
+// oracleEncodePushBatch is EncodePushBatch as it was written on
+// encoding/json.
+func oracleEncodePushBatch(w io.Writer, recs []PushRecord) error {
+	enc := json.NewEncoder(w)
+	for i := range recs {
+		if err := enc.Encode(&recs[i]); err != nil {
+			return fmt.Errorf("ingress: encode push record %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// sameRecords reports whether a and b are equal with every float
+// compared bitwise (so -0 differs from 0) and nil slices told apart
+// from empty ones.
+func sameRecords(a, b []PushRecord) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].Seq != b[i].Seq || a[i].Frame != b[i].Frame ||
+			(a[i].Dets == nil) != (b[i].Dets == nil) || len(a[i].Dets) != len(b[i].Dets) {
+			return false
+		}
+		for j := range a[i].Dets {
+			x, y := a[i].Dets[j], b[i].Dets[j]
+			if x.ID != y.ID || x.Frame != y.Frame || x.Class != y.Class || x.GTObject != y.GTObject ||
+				!sameFloats([]float64{x.Rect.X, x.Rect.Y, x.Rect.W, x.Rect.H}, []float64{y.Rect.X, y.Rect.Y, y.Rect.W, y.Rect.H}) ||
+				(x.Obs == nil) != (y.Obs == nil) || !sameFloats(x.Obs, y.Obs) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func sameFloats(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// checkAgainstOracle is the differential property: every record the
+// decoder returns, with or without an error, the oracle returns too, at
+// the same position and bitwise equal; and a body the decoder accepts,
+// the oracle accepts.
+func checkAgainstOracle(t *testing.T, data []byte, maxLine int) {
+	t.Helper()
+	recs, err := DecodePushBatch(bytes.NewReader(data), maxLine)
+	want, werr := oracleDecodePushBatch(bytes.NewReader(data), maxLine)
+	if len(recs) > len(want) || !sameRecords(recs, want[:len(recs)]) {
+		t.Fatalf("decoded %d records that the oracle does not (oracle: %d, %v)\nbody %q", len(recs), len(want), werr, data)
+	}
+	if err == nil && werr != nil {
+		t.Fatalf("decoder accepted a body the oracle refuses (%v)\nbody %q", werr, data)
+	}
+}
+
+// pushFuzzSeeds are bodies the decoder and the oracle must agree on:
+// each lexical corner of the grammar once.
+var pushFuzzSeeds = []string{
+	`{"seq":0,"frame":0}`,
+	"{\"seq\":0,\"frame\":0}\r\n{\"seq\":1,\"frame\":1}",
+	` { "frame" : 7 , "seq" : 3 } `,
+	"\t{\"seq\":0,\t\"frame\":0}\t",
+	`{"seq":0,"frame":0,"dets":[]}`,
+	`{"seq":0,"frame":0,"dets":null}`,
+	`{"seq":null,"frame":null,"dets":null}`,
+	`{"seq":0,"frame":2,"dets":[{"ID":1,"Frame":2,"Rect":{"X":-0,"Y":1e-7,"W":1E+2,"H":0.5},"Obs":[],"Class":1,"GTObject":-1}]}`,
+	`{"seq":0,"frame":2,"dets":[{"ID":1,"Frame":2,"Rect":{"X":1,"Y":1,"W":1,"H":1},"Obs":null,"Class":null}]}`,
+	`{"seq":0,"frame":2,"dets":[{"Rect":{"H":1,"W":1},"Frame":2,"Obs":[-0.0,1.5e300,4.9e-324,123456789012345678901234567890]}]}`,
+	`{"SEQ":4,"Frame":1,"DETS":[{"id":2,"frame":1,"rect":{"x":0,"y":0,"w":1,"h":1},"obs":[1],"gtobject":3}]}`,
+	`{"ſeq":4,"frame":1,"dets":[{"ID":2,"Frame":1,"Rect":{"X":0,"Y":0,"W":1,"H":1},"GTObject":3}]}`,
+	`{"seq":4,"frame":1,"ſeq2":0}`,
+	`{"seq":0,"frame":0,"pad":{"a":[1,{"b":null}],"c":"x\"\\\/\b\f\n\r\té😀\ud800"},"t":true,"f":false}`,
+	`{"seq":0,"frame":0,"k":"` + "\xff\xfe" + `"}`,
+	`{"seq":-0,"frame":-0}`,
+	`{"seq":9223372036854775807,"frame":1099511627776}`,
+	`{"seq":9223372036854775808,"frame":0}`,
+	`{"seq":1.0,"frame":0}`,
+	`{"seq":1e2,"frame":0}`,
+	`{"seq":"1","frame":0}`,
+	`{"seq":0,"frame":0,"dets":[{"ID":-0,"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1}}]}`,
+	`{"seq":0,"frame":0,"dets":[{"ID":1,"Frame":0,"Rect":{"X":1e400,"Y":0,"W":1,"H":1}}]}`,
+	`{"seq":0,"frame":0,"dets":{}}`,
+	`{"seq":0,"frame":0,"dets":[null]}`,
+	`{"seq":0,"frame":0,"dets":[{"Rect":[]}]}`,
+	`{"seq":0,"frame":0,}`,
+	`{"seq":0,"frame":0}{}`,
+	`{"seq":0,"frame":0} x`,
+	`{"seq":+1,"frame":0}`,
+	`{"seq":0,"frame":0,"x":.5}`,
+	`{"seq":0,"frame":0,"x":01}`,
+	`{"seq":0,"frame":0,"x":NaN}`,
+	`{"seq":0,"frame":0,"x":Inf}`,
+	`{"seq":0,"frame":0,"x":0x1p3}`,
+	`{"seq":0,"frame":0,"x":1_0}`,
+	`{"seq":0,"frame":0,"x":1.}`,
+	`{"seq":0,"frame":0,"x":1e}`,
+	`{"seq":0,"frame":0,"x":"\u12"}`,
+	`{"seq":0,"frame":0,"x":"` + "\x01" + `"}`,
+	`{"seq":0,"frame":0,"x":[1,]}`,
+	`{"seq":0,"frame":0,"x":tru}`,
+	`{"seq":0,"frame":0,"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
+	`{"seq":0,"frame":0,"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
+	`[]`,
+	`"seq"`,
+	"{\"seq\":0,\"frame\":0}\n\v\n{\"seq\":1,\"frame\":1}\n{\"seq\":0",
+}
+
+// FuzzDecodePushBatch is the hardened-decoder harness and the
+// differential test against encoding/json: arbitrary bytes must never
+// panic the decoder, anything it accepts must satisfy the protocol
+// invariants the server relies on (monotone seq and frame, frame range,
+// valid finite detections), and every record it yields the oracle
+// yields identically.
 func FuzzDecodePushBatch(f *testing.F) {
 	var seedBuf bytes.Buffer
 	_ = EncodePushBatch(&seedBuf, []PushRecord{validRecord(0, 0), validRecord(1, 1)})
@@ -102,7 +268,11 @@ func FuzzDecodePushBatch(f *testing.F) {
 	f.Add([]byte(`{"seq":1,"frame":2,"dets":[{"Rect":{"W":1e999}}]}`))
 	f.Add([]byte("\x00\xff{"))
 	f.Add([]byte(strings.Repeat(`{"seq":0,"frame":0}`+"\n", 50)))
+	for _, s := range pushFuzzSeeds {
+		f.Add([]byte(s))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstOracle(t, data, 1<<14)
 		recs, err := DecodePushBatch(bytes.NewReader(data), 1<<14)
 		if err != nil {
 			return
@@ -130,4 +300,216 @@ func FuzzDecodePushBatch(f *testing.F) {
 			prevSeq, prevFrame = r.Seq, r.Frame
 		}
 	})
+}
+
+func TestDecodePushBatchAgreesWithOracle(t *testing.T) {
+	for _, s := range pushFuzzSeeds {
+		checkAgainstOracle(t, []byte(s), 1<<16)
+	}
+	// Bodies at and around the line bound, with and without a final
+	// newline.
+	line := `{"seq":0,"frame":0,"pad":"` + strings.Repeat("x", 200) + `"}`
+	for _, maxLine := range []int{len(line) - 1, len(line), len(line) + 1, len(line) + 2} {
+		checkAgainstOracle(t, []byte(line), maxLine)
+		checkAgainstOracle(t, []byte(line+"\n"), maxLine)
+		checkAgainstOracle(t, []byte(line+"\r\n"), maxLine)
+	}
+}
+
+// TestDecodePushBatchOracleOnlyLines lists every kind of line
+// encoding/json accepts into a PushRecord that the push codec refuses.
+// None is something a client writes: EncodePushBatch never emits one.
+func TestDecodePushBatchOracleOnlyLines(t *testing.T) {
+	cases := []struct{ name, line, why string }{
+		{"duplicate key", `{"seq":0,"seq":1,"frame":0}`,
+			"encoding/json keeps the last value (and merges duplicated objects and arrays into earlier ones); the codec refuses rather than pick"},
+		{"duplicate key under folding", `{"seq":0,"SEQ":1,"frame":0}`,
+			"SEQ names seq under encoding/json's case folding, so this is a duplicate too"},
+		{"duplicate detection key", `{"seq":0,"frame":0,"dets":[{"W":1,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Rect":{"W":2}}]}`,
+			"the same rule inside a detection"},
+		{"null record", `null`,
+			"encoding/json decodes a null line to the zero record; a push line must be an object"},
+		{"null in Obs", `{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":[1,null]}]}`,
+			"encoding/json leaves a null element at 0; an observation component must be a number"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := oracleDecodePushBatch(strings.NewReader(tc.line), 0); err != nil {
+				t.Fatalf("the oracle refuses %q (%v): not an oracle-only line", tc.line, err)
+			}
+			if _, err := DecodePushBatch(strings.NewReader(tc.line), 0); err == nil {
+				t.Fatalf("decoder accepted %q; listed as refused because %s", tc.line, tc.why)
+			}
+		})
+	}
+}
+
+// fleetRecords is a fleet-like push body: n consecutive frames of a
+// loadgen street-camera stream.
+func fleetRecords(tb testing.TB, n int) []PushRecord {
+	tb.Helper()
+	streams, err := loadgen.Generate(loadgen.Config{Seed: 1, Streams: 1, Frames: 100 + n})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var recs []PushRecord
+	for f := 100; f < 100+n; f++ {
+		recs = append(recs, PushRecord{Seq: int64(f), Frame: video.FrameIndex(f), Dets: streams[0].Video.Detections[f]})
+	}
+	return recs
+}
+
+// FuzzEncodePushBatch checks the encoder against json.Encoder: the same
+// bytes (or both refusing a non-finite value), and a round trip through
+// the decoder for every record the protocol admits.
+func FuzzEncodePushBatch(f *testing.F) {
+	f.Add(int64(0), int64(0), uint64(1), 1.0, 2.0, 3.0, 4.0, []byte{}, 0, -1, true)
+	f.Add(int64(7), int64(9), uint64(1<<63), -0.0, 1e-7, 1e21, 5e-324, []byte{1, 2, 3, 4, 5, 6, 7, 8}, 3, 2, true)
+	f.Add(int64(1), int64(1), uint64(2), math.NaN(), 1.0, 1.0, 1.0, []byte{}, 0, 0, true)
+	f.Add(int64(1), int64(1), uint64(2), 1.0, 1.0, 1.0, 1.0, []byte{0, 0, 0, 0, 0, 0, 0xf0, 0x7f}, 0, 0, true)
+	f.Add(int64(-1), int64(-5), uint64(0), 0.0, 0.0, 0.0, 0.0, []byte(nil), 0, 0, false)
+	f.Fuzz(func(t *testing.T, seq, frame int64, id uint64, x, y, w, h float64, obs []byte, class, gt int, haveDets bool) {
+		rec := PushRecord{Seq: seq, Frame: video.FrameIndex(frame)}
+		if haveDets {
+			det := video.BBox{ID: video.BBoxID(id), Frame: rec.Frame, Rect: geom.Rect{X: x, Y: y, W: w, H: h},
+				Class: video.ClassID(class), GTObject: video.ObjectID(gt)}
+			if obs != nil {
+				det.Obs = make([]float64, 0, len(obs)/8)
+				for ; len(obs) >= 8; obs = obs[8:] {
+					det.Obs = append(det.Obs, math.Float64frombits(binary.LittleEndian.Uint64(obs)))
+				}
+			}
+			rec.Dets = []video.BBox{det, det}
+		}
+		recs := []PushRecord{validRecord(0, 0), rec}
+		var got, want bytes.Buffer
+		err := EncodePushBatch(&got, recs)
+		werr := oracleEncodePushBatch(&want, recs)
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("encoder wrote\n%s\njson.Encoder wrote\n%s", got.Bytes(), want.Bytes())
+		}
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) {
+			t.Fatalf("encoder error %v, json.Encoder error %v", err, werr)
+		}
+		if err != nil {
+			return
+		}
+		// Canonical bytes decode back to the records, bit for bit,
+		// whenever the protocol admits them.
+		if _, oerr := oracleDecodePushBatch(bytes.NewReader(want.Bytes()), DefaultMaxLineBytes); oerr != nil {
+			return
+		}
+		back, err := DecodePushBatch(bytes.NewReader(got.Bytes()), DefaultMaxLineBytes)
+		if err != nil {
+			t.Fatalf("decoder refused canonical bytes: %v\n%s", err, got.Bytes())
+		}
+		if !sameRecords(back, recs) {
+			t.Fatalf("round trip changed the records:\n%+v\n%+v", back, recs)
+		}
+	})
+}
+
+func TestEncodePushBatchMatchesJSONEncoder(t *testing.T) {
+	recs := fleetRecords(t, 20)
+	recs = append(recs, PushRecord{Seq: 200, Frame: 200, Dets: []video.BBox{}},
+		PushRecord{Seq: 201, Frame: 201, Dets: []video.BBox{{Frame: 201, Rect: geom.Rect{W: 1, H: 1}, Obs: []float64{}}}})
+	var got, want bytes.Buffer
+	if err := EncodePushBatch(&got, recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := oracleEncodePushBatch(&want, recs); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("encoder and json.Encoder differ:\n%s\n%s", got.Bytes(), want.Bytes())
+	}
+	back, err := DecodePushBatch(&got, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs[len(recs)-2].Dets = nil // omitempty: an empty dets array is not written
+	if !sameRecords(back, recs) {
+		t.Fatal("round trip changed the records")
+	}
+}
+
+func pinAllocs(t *testing.T, name string, max float64, f func()) {
+	t.Helper()
+	if raceEnabled {
+		t.Skip("testing.AllocsPerRun is unreliable under the race detector")
+	}
+	if got := testing.AllocsPerRun(50, f); got > max {
+		t.Errorf("%s: %v allocs/op, want <= %v", name, got, max)
+	}
+}
+
+// TestPushCodecAllocs pins the codec's allocations: none to encode into
+// a reused buffer, and to decode one per record's detections slice, one
+// per detection's observation, and a few for the records slice.
+func TestPushCodecAllocs(t *testing.T) {
+	recs := fleetRecords(t, 20)
+	var buf bytes.Buffer
+	pinAllocs(t, "EncodePushBatch", 0, func() {
+		buf.Reset()
+		if err := EncodePushBatch(&buf, recs); err != nil {
+			t.Fatal(err)
+		}
+	})
+	body := append([]byte(nil), buf.Bytes()...)
+	dets := 0
+	for _, r := range recs {
+		dets += len(r.Dets)
+	}
+	var rd bytes.Reader
+	pinAllocs(t, "DecodePushBatch", float64(len(recs)+dets+8), func() {
+		rd.Reset(body)
+		if _, err := DecodePushBatch(&rd, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+func BenchmarkDecodePushBatch(b *testing.B) {
+	benchDecode(b, DecodePushBatch)
+}
+
+func BenchmarkDecodePushBatchOracle(b *testing.B) {
+	benchDecode(b, oracleDecodePushBatch)
+}
+
+func benchDecode(b *testing.B, decode func(io.Reader, int) ([]PushRecord, error)) {
+	var buf bytes.Buffer
+	if err := EncodePushBatch(&buf, fleetRecords(b, 20)); err != nil {
+		b.Fatal(err)
+	}
+	var rd bytes.Reader
+	b.SetBytes(int64(buf.Len()))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(buf.Bytes())
+		if _, err := decode(&rd, 0); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkEncodePushBatch(b *testing.B) {
+	benchEncode(b, EncodePushBatch)
+}
+
+func BenchmarkEncodePushBatchOracle(b *testing.B) {
+	benchEncode(b, oracleEncodePushBatch)
+}
+
+func benchEncode(b *testing.B, encode func(io.Writer, []PushRecord) error) {
+	recs := fleetRecords(b, 20)
+	var buf bytes.Buffer
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf.Reset()
+		if err := encode(&buf, recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.SetBytes(int64(buf.Len()))
 }
