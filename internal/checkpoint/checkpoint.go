@@ -1,18 +1,21 @@
 // Package checkpoint implements the durability envelope shared by the
-// project's on-disk artefacts: a versioned, checksummed JSON wrapper
+// project's on-disk artefacts: a versioned, checksummed wrapper
 // (Seal/Open, and SealAs/OpenAs for artefacts with their own format
 // discriminator, such as the history-log manifest) around a payload
-// whose schema belongs to its writer. Streaming ingestion sessions are
-// the main user; their payload schema, and its version history, live
-// with the ingest package that writes and reads it.
+// whose schema belongs to its writer. The payload is JSON; a payload
+// that implements Bulk also carries its large numeric arrays in a
+// binary bulk section after the JSON, under the same checksum.
+// Streaming ingestion sessions are the main user; their payload schema,
+// and its version history, live with the ingest package that writes and
+// reads it.
 //
 // The format guarantee is all-or-nothing: Open either yields the exact
 // payload Seal wrote or a descriptive error. A truncated file fails the
 // envelope's layout check or the checksum; a bit flip anywhere in the
-// payload fails the SHA-256 checksum; an envelope from a future (or
-// unknown) format version is refused before the payload is looked at.
-// Restore code therefore never sees — and can never apply — a partially
-// valid session.
+// payload or bulk section fails the SHA-256 checksum; an envelope from a
+// future (or unknown) format version is refused before the payload is
+// looked at. Restore code therefore never sees — and can never apply — a
+// partially valid session.
 package checkpoint
 
 import (
@@ -34,7 +37,7 @@ const Format = "tmerge/checkpoint"
 // Kalman filter internals and RNG states whose meaning is pinned to the
 // code that wrote them, so silent cross-version reads would break the
 // replay guarantee in ways no checksum can catch.
-const Version = 6
+const Version = 7
 
 // The on-disk envelope is one JSON object with exactly this layout and
 // no whitespace:
@@ -42,19 +45,31 @@ const Version = 6
 //	{"format":<string>,"version":<int>,"checksum":"<hex SHA-256>","payload":<payload>}
 //
 // — the bytes json.Marshal writes for a struct of those four fields in
-// that order, with the payload held as a json.RawMessage. Seal writes
-// the header by hand around the marshalled payload instead of
-// marshalling that struct, which would re-scan (compact) the whole
+// that order, with the payload held as a json.RawMessage. A payload that
+// implements Bulk adds its bulk section's length after the checksum and
+// the section itself after the closing brace:
+//
+//	{"format":<string>,"version":<int>,"checksum":"<hex>","bulk":<n>,"payload":<payload>}<n bytes>
+//
+// Seal writes the header by hand around the marshalled payload instead
+// of marshalling that struct, which would re-scan (compact) the whole
 // payload a second time; Open parses the fixed header by hand, so the
-// payload is scanned once, by the json.Unmarshal that decodes it. The
-// checksum covers exactly the payload bytes. Any other layout is
-// refused as malformed.
+// payload is scanned once, by the json.Unmarshal that decodes it, and
+// the bulk section is located by its declared length, not by a scan.
+// The checksum covers exactly the payload bytes followed by the bulk
+// bytes. It does not cover the declared length, but a wrong length moves
+// the split by whole bytes: either the byte before the section is not
+// '}', or the checksum fails, or the split only shifts '}' bytes between
+// the end of the payload and the section, which leaves the payload
+// unbalanced or with trailing bytes, and it does not decode. Any other
+// layout is refused as malformed.
 
 const (
 	headFormat   = `{"format":`
 	headVersion  = `,"version":`
 	headChecksum = `,"checksum":"`
-	headPayload  = `","payload":`
+	headBulk     = `","bulk":`
+	headPayload  = `,"payload":`
 )
 
 // Seal marshals payload and wraps it in a versioned, checksummed
@@ -77,25 +92,38 @@ func SealAs(format string, version int, payload any) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: seal %s: %w", format, err)
 	}
-	sum := sha256.Sum256(raw)
+	b, hasBulk := payload.(Bulk)
+	var bulk []byte
+	if hasBulk {
+		bulk = b.AppendBulk(nil)
+	}
 	out := make([]byte, 0, len(headFormat)+len(quoted)+len(headVersion)+20+
-		len(headChecksum)+2*sha256.Size+len(headPayload)+len(raw)+1)
+		len(headChecksum)+2*sha256.Size+len(headBulk)+20+len(headPayload)+len(raw)+1+len(bulk))
 	out = append(out, headFormat...)
 	out = append(out, quoted...)
 	out = append(out, headVersion...)
 	out = strconv.AppendInt(out, int64(version), 10)
 	out = append(out, headChecksum...)
-	out = hex.AppendEncode(out, sum[:])
+	out = appendChecksum(out, raw, bulk)
+	if hasBulk {
+		out = append(out, headBulk...)
+		out = strconv.AppendInt(out, int64(len(bulk)), 10)
+	} else {
+		out = append(out, '"')
+	}
 	out = append(out, headPayload...)
 	out = append(out, raw...)
 	out = append(out, '}')
+	out = append(out, bulk...)
 	return out, nil
 }
 
 // Open verifies the envelope around data — format, version, checksum —
-// and unmarshals the payload into out. Any failure returns a descriptive
-// error with out untouched by meaningful data; callers must not use out
-// unless Open returns nil.
+// and unmarshals the payload into out. An out that implements Bulk then
+// reads the bulk section, which must be present and read to its end; any
+// other out ignores a bulk section the checksum has verified. Any
+// failure returns a descriptive error with out untouched by meaningful
+// data; callers must not use out unless Open returns nil.
 func Open(data []byte, out any) error {
 	return OpenAs(data, Format, Version, out)
 }
@@ -113,14 +141,39 @@ func OpenAs(data []byte, format string, version int, out any) error {
 	if env.version != version {
 		return fmt.Errorf("checkpoint: open: unsupported version %d (this build reads version %d)", env.version, version)
 	}
-	sum := sha256.Sum256(env.payload)
-	if got := hex.EncodeToString(sum[:]); got != string(env.checksum) {
+	if got := appendChecksum(nil, env.payload, env.bulk); !bytes.Equal(got, env.checksum) {
 		return fmt.Errorf("checkpoint: open: payload checksum mismatch (got %s, recorded %s): checkpoint is corrupt", got, env.checksum)
+	}
+	b, wantBulk := out.(Bulk)
+	if wantBulk && env.bulk == nil {
+		return errors.New("checkpoint: open: envelope has no bulk section")
 	}
 	if err := json.Unmarshal(env.payload, out); err != nil {
 		return fmt.Errorf("checkpoint: open: payload does not decode: %w", err)
 	}
+	if wantBulk {
+		r := Reader{buf: env.bulk}
+		err := b.ReadBulk(&r)
+		if err == nil {
+			err = r.err
+		}
+		if err != nil {
+			return fmt.Errorf("checkpoint: open: bulk section does not decode: %w", err)
+		}
+		if len(r.buf) > 0 {
+			return fmt.Errorf("checkpoint: open: bulk section has %d trailing bytes", len(r.buf))
+		}
+	}
 	return nil
+}
+
+// appendChecksum appends the hex SHA-256 of the payload bytes followed
+// by the bulk section.
+func appendChecksum(dst, payload, bulk []byte) []byte {
+	h := sha256.New()
+	h.Write(payload)
+	h.Write(bulk)
+	return hex.AppendEncode(dst, h.Sum(nil))
 }
 
 // parsedEnvelope is the header of an envelope plus its payload bytes,
@@ -130,6 +183,9 @@ type parsedEnvelope struct {
 	version  int
 	checksum []byte
 	payload  []byte
+	// bulk is the bulk section, nil when the envelope declares none
+	// (and non-nil, possibly empty, when it does).
+	bulk []byte
 }
 
 // parseEnvelope splits data into the fixed header fields and the
@@ -167,20 +223,10 @@ func parseEnvelope(data []byte) (parsedEnvelope, error) {
 	if rest, ok = bytes.CutPrefix(rest[end:], []byte(headVersion)); !ok {
 		return env, errors.New("no version field")
 	}
-	n := 0
-	if len(rest) > 0 && rest[0] == '-' {
-		n++
-	}
-	for n < len(rest) && rest[n] >= '0' && rest[n] <= '9' {
-		n++
-	}
-	v, err := strconv.Atoi(string(rest[:n]))
-	// Only the canonical spelling json.Marshal writes: no leading
-	// zeros, no "-0", no exponent.
-	if err != nil || strconv.Itoa(v) != string(rest[:n]) {
+	var n int
+	if env.version, n, ok = canonicalInt(rest); !ok {
 		return env, fmt.Errorf("version %q is not an integer", rest[:n])
 	}
-	env.version = v
 	if rest, ok = bytes.CutPrefix(rest[n:], []byte(headChecksum)); !ok {
 		return env, errors.New("no checksum field")
 	}
@@ -188,12 +234,44 @@ func parseEnvelope(data []byte) (parsedEnvelope, error) {
 		return env, errors.New("checksum too short")
 	}
 	env.checksum, rest = rest[:2*sha256.Size], rest[2*sha256.Size:]
+	bulkLen := -1
+	if rest, ok = bytes.CutPrefix(rest, []byte(headBulk)); ok {
+		if bulkLen, n, ok = canonicalInt(rest); !ok || bulkLen < 0 {
+			return env, fmt.Errorf("bulk length %q is not a non-negative integer", rest[:n])
+		}
+		rest = rest[n:]
+	} else if rest, ok = bytes.CutPrefix(rest, []byte{'"'}); !ok {
+		return env, errors.New("unterminated checksum")
+	}
 	if rest, ok = bytes.CutPrefix(rest, []byte(headPayload)); !ok {
 		return env, errors.New("no payload field")
 	}
-	if len(rest) == 0 || rest[len(rest)-1] != '}' {
+	brace := len(rest) - 1
+	if bulkLen >= 0 {
+		if brace -= bulkLen; brace < 0 {
+			return env, fmt.Errorf("bulk length %d exceeds the %d bytes left", bulkLen, len(rest))
+		}
+		env.bulk = rest[brace+1:]
+	}
+	if brace < 0 || rest[brace] != '}' {
 		return env, errors.New("unterminated envelope")
 	}
-	env.payload = rest[:len(rest)-1]
+	env.payload = rest[:brace]
 	return env, nil
+}
+
+// canonicalInt parses the integer at the start of data, accepting only
+// the spelling json.Marshal writes: no sign but '-', no leading zeros,
+// no "-0", no exponent. It returns the value, the length of the digit
+// run it looked at, and whether that run is canonical.
+func canonicalInt(data []byte) (int, int, bool) {
+	n := 0
+	if len(data) > 0 && data[0] == '-' {
+		n++
+	}
+	for n < len(data) && data[n] >= '0' && data[n] <= '9' {
+		n++
+	}
+	v, err := strconv.Atoi(string(data[:n]))
+	return v, n, err == nil && strconv.Itoa(v) == string(data[:n])
 }

@@ -3,6 +3,7 @@ package checkpoint_test
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"strconv"
@@ -15,11 +16,13 @@ import (
 
 // envelope is the struct the envelope layout was defined by before Seal
 // and Open wrote and parsed its header by hand. json.Marshal of it is
-// the golden form of every sealed file.
+// the golden form of every sealed file's JSON part; an envelope with a
+// bulk section declares its length and appends it after that part.
 type envelope struct {
 	Format   string          `json:"format"`
 	Version  int             `json:"version"`
-	Checksum string          `json:"checksum"` // hex SHA-256 of Payload
+	Checksum string          `json:"checksum"` // hex SHA-256 of Payload and the bulk section
+	Bulk     *int            `json:"bulk,omitempty"`
 	Payload  json.RawMessage `json:"payload"`
 }
 
@@ -142,13 +145,30 @@ func TestOpenRefusesOtherLayouts(t *testing.T) {
 	}
 }
 
+// splitEnvelope decodes the JSON part of accepted envelope bytes with
+// encoding/json and returns it with the bytes after it.
+func splitEnvelope(t *testing.T, data []byte) (envelope, []byte) {
+	t.Helper()
+	var env envelope
+	dec := json.NewDecoder(bytes.NewReader(data))
+	if err := dec.Decode(&env); err != nil {
+		t.Fatalf("Open accepted an envelope json.Unmarshal refuses: %v", err)
+	}
+	return env, data[dec.InputOffset():]
+}
+
 // FuzzOpen drives the hand-written header parser with arbitrary bytes:
 // Open must never panic, whatever it accepts must carry exactly the
 // header json.Marshal of the envelope struct writes (no second layout
-// is accepted), and resealing the decoded payload must match the
-// envelope marshal byte for byte.
+// is accepted) followed by exactly the declared bulk section, and
+// resealing the decoded payload must match the envelope marshal byte for
+// byte. The same bytes then go in as the bulk section of an envelope
+// with a valid checksum, which reaches the bulk reader: it must refuse
+// or accept without panicking or allocating past the section, and what
+// it accepts must reseal and reopen to the same vectors.
 func FuzzOpen(f *testing.F) {
-	for _, p := range []any{map[string]int{"n": 1}, []float64{0.5}, "s", nil} {
+	for _, p := range []any{map[string]int{"n": 1}, []float64{0.5}, "s", nil,
+		&bulkPayload{Name: "b", Vecs: [][]float64{{1, 2}, nil, {}}}} {
 		data, err := checkpoint.Seal(p)
 		if err != nil {
 			f.Fatal(err)
@@ -156,32 +176,56 @@ func FuzzOpen(f *testing.F) {
 		f.Add(data)
 		f.Add(data[:len(data)/2])
 	}
+	good := (&bulkPayload{Vecs: [][]float64{{1, 2}, {3}}}).AppendBulk(nil)
+	huge := binary.AppendUvarint(nil, 1<<62)
+	for _, bulk := range [][]byte{
+		good,
+		good[:len(good)-1],                      // truncated float
+		good[:1],                                // count past the end
+		append(append([]byte(nil), good...), 7), // trailing bytes
+		append(huge, good[1:]...),               // huge count
+		append([]byte{1}, huge...),              // huge vector length
+		{0x80, 0x80, 0x80},                      // truncated varint
+	} {
+		f.Add(bulk)
+		f.Add(sealRaw(f, []byte(`{"name":"r"}`), bulk))
+	}
 	f.Add([]byte(`{"format":"tmerge/checkpoint","version":4,"checksum":"`))
 	f.Add([]byte(`{"format":"a\"b\\","version":-0,"checksum":"x","payload":}`))
+	f.Add([]byte(`{"format":"tmerge/checkpoint","version":7,"checksum":"","bulk":99999999999,"payload":{}}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var out any
-		if err := checkpoint.Open(data, &out); err != nil {
+		if err := checkpoint.Open(data, &out); err == nil {
+			env, bulk := splitEnvelope(t, data)
+			head, err := json.Marshal(envelope{Format: env.Format, Version: env.Version, Checksum: env.Checksum, Bulk: env.Bulk, Payload: json.RawMessage("0")})
+			if err != nil {
+				t.Fatal(err)
+			}
+			head = head[:len(head)-len("0}")]
+			if !bytes.HasPrefix(data, head) {
+				t.Fatalf("accepted header of %q is not the canonical %q", data, head)
+			}
+			if env.Bulk == nil && len(bulk) > 0 || env.Bulk != nil && *env.Bulk != len(bulk) {
+				t.Fatalf("accepted %d bytes after the JSON part of %q", len(bulk), data)
+			}
+			if env.Bulk == nil {
+				resealed, err := checkpoint.Seal(out)
+				if err != nil {
+					t.Fatalf("accepted payload does not reseal: %v", err)
+				}
+				if want := marshalEnvelope(t, checkpoint.Format, checkpoint.Version, out); !bytes.Equal(resealed, want) {
+					t.Fatalf("reseal %s differs from the envelope marshal %s", resealed, want)
+				}
+			}
+		}
+		var in bulkPayload
+		if err := checkpoint.Open(sealRaw(t, []byte(`{"name":"r"}`), data), &in); err != nil {
 			return
 		}
-		var env envelope
-		if err := json.Unmarshal(data, &env); err != nil {
-			t.Fatalf("Open accepted an envelope json.Unmarshal refuses: %v", err)
-		}
-		head, err := json.Marshal(envelope{Format: env.Format, Version: env.Version, Checksum: env.Checksum, Payload: json.RawMessage("0")})
-		if err != nil {
-			t.Fatal(err)
-		}
-		head = head[:len(head)-len("0}")]
-		if !bytes.HasPrefix(data, head) {
-			t.Fatalf("accepted header of %q is not the canonical %q", data, head)
-		}
-		resealed, err := checkpoint.Seal(out)
-		if err != nil {
-			t.Fatalf("accepted payload does not reseal: %v", err)
-		}
-		if want := marshalEnvelope(t, checkpoint.Format, checkpoint.Version, out); !bytes.Equal(resealed, want) {
-			t.Fatalf("reseal %s differs from the envelope marshal %s", resealed, want)
+		var again bulkPayload
+		if err := checkpoint.Open(mustSeal(t, &in), &again); err != nil || !sameBulk(&in, &again) {
+			t.Fatalf("accepted bulk section does not reseal to itself: %v", err)
 		}
 	})
 }

@@ -45,7 +45,9 @@ func ReadEventLog(r io.Reader) ([]MergeEvent, error) {
 		if err := dec.Decode(&ev); err != nil {
 			return nil, fmt.Errorf("core: event log line %d does not decode: %w", line, err)
 		}
-		if dec.More() {
+		// More would report false before a stray '}' or ']': only EOF
+		// proves the line held nothing else.
+		if _, err := dec.Token(); err != io.EOF {
 			return nil, fmt.Errorf("core: event log line %d has trailing content after the event", line)
 		}
 		if err := ev.Validate(); err != nil {

@@ -191,6 +191,11 @@ func TestReadEventLogRejectsHostileInput(t *testing.T) {
 		"invalid event":    `{"seq":0,"pair":{"a":2,"b":1},"from_a":2,"from_b":1,"canon":1}` + "\n",
 		"seq gap":          `{"seq":0,"pair":{"a":1,"b":2},"from_a":1,"from_b":2,"canon":1}` + "\n" + `{"seq":2,"pair":{"a":3,"b":4},"from_a":3,"from_b":4,"canon":3}` + "\n",
 		"trailing garbage": `{"seq":0,"pair":{"a":1,"b":2},"from_a":1,"from_b":2,"canon":1} garbage` + "\n",
+		"trailing ]":       `{"seq":0,"pair":{"A":1,"B":2},"from_a":1,"from_b":2,"canon":1}]` + "\n",
+		"trailing ]]]":     `{"seq":0,"pair":{"A":1,"B":2},"from_a":1,"from_b":2,"canon":1}]]]` + "\n",
+		"trailing }":       `{"seq":0,"pair":{"A":1,"B":2},"from_a":1,"from_b":2,"canon":1}}` + "\n",
+		"trailing value":   `{"seq":0,"pair":{"A":1,"B":2},"from_a":1,"from_b":2,"canon":1} 7` + "\n",
+		"second event":     `{"seq":0,"pair":{"A":1,"B":2},"from_a":1,"from_b":2,"canon":1}{"seq":1,"pair":{"A":3,"B":4},"from_a":3,"from_b":4,"canon":3}` + "\n",
 	}
 	for name, input := range cases {
 		if _, err := ReadEventLog(strings.NewReader(input)); err == nil {
@@ -221,6 +226,9 @@ func FuzzEventLog(f *testing.F) {
 	f.Add(`{"seq":0,"pair":{"a":1,"b":2},"from_a":1,"from_b":2,"canon":1}`)
 	f.Add(`{"seq":-1}`)
 	f.Add("\x00\x01\x02")
+	f.Add(`{"seq":0,"pair":{"A":1,"B":2},"from_a":1,"from_b":2,"canon":1}]`)
+	f.Add(`{"seq":0,"pair":{"A":1,"B":2},"from_a":1,"from_b":2,"canon":1}]]]` + "\n")
+	f.Add(`{"seq":0,"pair":{"A":1,"B":2},"from_a":1,"from_b":2,"canon":1}}`)
 
 	f.Fuzz(func(t *testing.T, input string) {
 		events, err := ReadEventLog(strings.NewReader(input))

@@ -434,13 +434,16 @@ func insertCandidate(chosen *[]int, thetas *[]float64, idx int, theta float64) {
 // of the O(n log n) of sorting both bound arrays.
 func (a *TMerge) ulb(arms []pairState, tau, kCount int) {
 	n := len(arms)
+	logTau := math.Log(float64(max(tau, 2)))
+	if a.ulbCannotPrune(arms, logTau, kCount) {
+		return
+	}
 	// The bound arrays are scratch reused across pruning passes and
 	// Select calls (this pass used to allocate them every iteration —
 	// the single largest allocation site of the whole pipeline). Every
 	// element is written below before any read.
 	lbs := sizeScratch(&a.ulbLB, n)
 	ubs := sizeScratch(&a.ulbUB, n)
-	logTau := math.Log(float64(max(tau, 2)))
 	for i := range arms {
 		s := &arms[i]
 		u := a.radius(s, logTau)
@@ -483,26 +486,59 @@ func (a *TMerge) ulb(arms []pairState, tau, kCount int) {
 	}
 }
 
+// ulbCannotPrune reports, without computing the bounds, that a pruning
+// pass would prune no arm — which is most passes early in a window. Let
+// F arms have a finite radius and the other n−F an infinite one (bounds
+// −Inf and +Inf). When F < k < n−F, at least k+1 lower bounds are −Inf
+// or NaN, so SL[k] is −Inf or NaN; and at most k−1 upper bounds sort
+// below +Inf, so SU[k−1] is +Inf. An arm is then pruned in only if its
+// upper bound is −Inf, and out only if its lower bound is NaN: neither
+// happens to an infinite-radius arm, and the finite-radius arms that
+// could be pruned are checked one by one (a NaN or infinite distance
+// can produce such bounds).
+func (a *TMerge) ulbCannotPrune(arms []pairState, logTau float64, kCount int) bool {
+	finite := 0
+	for i := range arms {
+		s := &arms[i]
+		if a.unbounded(s) {
+			continue
+		}
+		if finite++; finite >= kCount {
+			return false
+		}
+		if s.active() && s.count > 0 {
+			u, m := a.radius(s, logTau), s.mean()
+			if m+u == math.Inf(-1) || math.IsNaN(m-u) {
+				return false
+			}
+		}
+	}
+	return finite < kCount && len(arms)-finite > kCount
+}
+
+// unbounded reports whether a pair's confidence radius is +Inf: it is
+// unsampled or, in variance-aware mode, has too few samples for a
+// variance estimate. Drained pairs never are.
+func (a *TMerge) unbounded(s *pairState) bool {
+	const minSamples = 8
+	return !s.sampler.Exhausted() && (s.count == 0 || !a.cfg.ULBHoeffding && s.count < minSamples)
+}
+
 // radius returns the confidence radius of a pair's score estimate at
 // iteration tau, given logTau = ln(max(tau, 2)). Drained pairs (every
-// BBox pair evaluated) have an exact score and radius 0. Unsampled pairs
-// (and, in variance-aware mode, pairs with too few samples for a
-// variance estimate) have radius +Inf.
+// BBox pair evaluated) have an exact score and radius 0. Unbounded pairs
+// have radius +Inf.
 func (a *TMerge) radius(s *pairState, logTau float64) float64 {
 	if s.sampler.Exhausted() {
 		return 0
 	}
-	if s.count == 0 {
+	if a.unbounded(s) {
 		return math.Inf(1)
 	}
 	if a.cfg.ULBHoeffding {
 		// stats.HoeffdingRadius with the logarithm hoisted out of the
 		// per-arm loop.
 		return math.Sqrt(2 * logTau / float64(s.count))
-	}
-	const minSamples = 8
-	if s.count < minSamples {
-		return math.Inf(1)
 	}
 	// Empirical-Bernstein-style radius: the Hoeffding exponent with the
 	// observed standard deviation in place of the worst-case range, plus

@@ -201,6 +201,8 @@ const (
 	armTied                      // distances and counts from a tiny set: tied bounds
 	armPruned                    // an already-pruned arm: bounds count, decision skipped
 	armEcho                      // drained, scored exactly at another arm's bound
+	armUnsampled                 // never sampled, universe left: +Inf radius
+	armNaNDist                   // sampled, one distance NaN or ±Inf: non-finite bounds
 )
 
 // ulbArms builds n arm states of the given kinds, chosen uniformly at
@@ -240,6 +242,11 @@ func ulbArms(r *xrand.RNG, n int, kinds []armKind, cfg TMergeConfig, tau int) []
 			for c := 8 * (1 + r.Intn(2)); c > 0; c-- {
 				s.observe(0.25 + 0.25*float64(r.Intn(2)))
 			}
+		case armNaNDist:
+			for c := r.Intn(12); c > 0; c-- {
+				s.observe(r.Float64())
+			}
+			s.observe([]float64{math.NaN(), math.Inf(1), math.Inf(-1)}[r.Intn(3)])
 		}
 	}
 	for _, i := range echoes {
@@ -269,9 +276,13 @@ func TestULBMatchesReference(t *testing.T) {
 		"tied":    {armTied},
 		"echo":    {armRandom, armTied, armEcho},
 		"mixed":   {armRandom, armFewSamples, armDrained, armDrainedNaN, armTied, armPruned, armEcho},
+		// Mostly unbounded arms, where a pass can return before computing
+		// any bound, with a few bounded ones of every shape among them.
+		"early":     {armUnsampled, armUnsampled, armUnsampled, armFewSamples, armFewSamples, armRandom},
+		"early-nan": {armUnsampled, armUnsampled, armFewSamples, armFewSamples, armDrained, armDrainedNaN, armNaNDist},
 	}
 	r := xrand.New(5)
-	cases := 0
+	cases, early := 0, 0
 	for _, n := range []int{1, 2, 3, 17, 1000} {
 		for name, kinds := range profiles {
 			for _, hoeffding := range []bool{false, true} {
@@ -283,7 +294,11 @@ func TestULBMatchesReference(t *testing.T) {
 						arms := ulbArms(r, n, kinds, cfg, tau)
 						want := append([]pairState(nil), arms...)
 						ulbReference(cfg, want, tau, k)
-						NewTMerge(cfg).ulb(arms, tau, k)
+						a := NewTMerge(cfg)
+						if a.ulbCannotPrune(arms, math.Log(float64(max(tau, 2))), k) {
+							early++
+						}
+						a.ulb(arms, tau, k)
 						for i := range arms {
 							if arms[i].prunedIn != want[i].prunedIn || arms[i].prunedOut != want[i].prunedOut {
 								t.Fatalf("n=%d %s hoeffding=%v k=%d tau=%d arm %d: in/out = %v/%v, reference %v/%v",
@@ -297,7 +312,10 @@ func TestULBMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d pruning passes agree", cases)
+	t.Logf("%d pruning passes agree, %d of them returned early", cases, early)
+	if early == 0 {
+		t.Error("no pass returned early: the early exit went untested")
+	}
 }
 
 // checkKthFloat asserts that kthFloat picks, for every k, an element equal

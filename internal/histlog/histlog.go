@@ -22,7 +22,6 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -161,42 +160,26 @@ func (e *WindowEntry) Validate(seq int) (int, error) {
 // the record bytes. The footer's end cursors are derived from the
 // records themselves; base segments take them from base (the folded
 // view's cursors), since track records carry no window information.
+// Only this build's format and version are written.
 func EncodeSegment(hdr SegmentHeader, entries []WindowEntry, tracks []trackdb.ViewTrack, base SegmentFooter) ([]byte, SegmentFooter, error) {
-	var buf bytes.Buffer
-	hb, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, SegmentFooter{}, fmt.Errorf("histlog: encoding segment header: %w", err)
+	if hdr.Format != SegmentFormat || hdr.Version != SegmentVersion {
+		return nil, SegmentFooter{}, fmt.Errorf("histlog: cannot encode segment format %q version %d (this build writes %q version %d)",
+			hdr.Format, hdr.Version, SegmentFormat, SegmentVersion)
 	}
-	buf.Write(hb)
-	buf.WriteByte('\n')
-
-	h := sha256.New()
-	writeRec := func(v any) error {
-		rb, err := json.Marshal(v)
-		if err != nil {
-			return fmt.Errorf("histlog: encoding segment record: %w", err)
-		}
-		h.Write(rb)
-		h.Write([]byte{'\n'})
-		buf.Write(rb)
-		buf.WriteByte('\n')
-		return nil
-	}
-
-	ft := SegmentFooter{}
+	buf := appendHeader(nil, &hdr)
+	recs := len(buf)
+	var ft SegmentFooter
 	switch hdr.Kind {
 	case KindRaw:
 		seq := hdr.StartSeq
 		endFrame := video.FrameIndex(-1)
 		for i := range entries {
 			e := &entries[i]
-			seq, err = e.Validate(seq)
-			if err != nil {
+			var err error
+			if seq, err = e.Validate(seq); err != nil {
 				return nil, SegmentFooter{}, err
 			}
-			if err := writeRec(e); err != nil {
-				return nil, SegmentFooter{}, err
-			}
+			buf = appendEntry(buf, e)
 			endFrame = e.Window.End
 		}
 		ft = SegmentFooter{
@@ -207,9 +190,13 @@ func EncodeSegment(hdr SegmentHeader, entries []WindowEntry, tracks []trackdb.Vi
 		}
 	case KindBase:
 		for i := range tracks {
-			if err := writeRec(&tracks[i]); err != nil {
-				return nil, SegmentFooter{}, err
+			t := &tracks[i]
+			for _, c := range t.Cells {
+				if math.IsNaN(c.CX) || math.IsInf(c.CX, 0) || math.IsNaN(c.CY) || math.IsInf(c.CY, 0) {
+					return nil, SegmentFooter{}, fmt.Errorf("histlog: base track %d has a non-finite center at frame %d", t.ID, c.Frame)
+				}
 			}
+			buf = appendViewTrack(buf, t)
 		}
 		ft = SegmentFooter{
 			Records:   len(tracks),
@@ -220,15 +207,9 @@ func EncodeSegment(hdr SegmentHeader, entries []WindowEntry, tracks []trackdb.Vi
 	default:
 		return nil, SegmentFooter{}, fmt.Errorf("histlog: unknown segment kind %q", hdr.Kind)
 	}
-	ft.Checksum = hex.EncodeToString(h.Sum(nil))
-
-	fb, err := json.Marshal(ft)
-	if err != nil {
-		return nil, SegmentFooter{}, fmt.Errorf("histlog: encoding segment footer: %w", err)
-	}
-	buf.Write(fb)
-	buf.WriteByte('\n')
-	return buf.Bytes(), ft, nil
+	sum := sha256.Sum256(buf[recs:])
+	ft.Checksum = hex.EncodeToString(sum[:])
+	return appendFooter(buf, &ft), ft, nil
 }
 
 // splitLines cuts data into newline-terminated lines, enforcing the
@@ -250,21 +231,6 @@ func splitLines(data []byte) ([][]byte, error) {
 	return lines, nil
 }
 
-// decodeStrict unmarshals one line with unknown fields and trailing
-// content rejected — the hardened-decoder convention shared with the
-// repo's other NDJSON formats.
-func decodeStrict(line []byte, out any) error {
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(out); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing content after record")
-	}
-	return nil
-}
-
 // DecodeSegment decodes and fully verifies one segment file: header
 // format and version, per-record invariants (window and event-cursor
 // chains for raw segments, ascending track IDs for base segments), and
@@ -280,7 +246,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 		return nil, fmt.Errorf("histlog: segment has %d lines, need header and footer", len(lines))
 	}
 	seg := &Segment{}
-	if err := decodeStrict(lines[0], &seg.Header); err != nil {
+	if err := readHeader(lines[0], &seg.Header); err != nil {
 		return nil, fmt.Errorf("histlog: segment header does not decode: %w", err)
 	}
 	hdr := seg.Header
@@ -296,7 +262,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 	if hdr.Kind == KindBase && (hdr.StartWindow != 0 || hdr.StartSeq != 0) {
 		return nil, fmt.Errorf("histlog: base segment %d must start at window 0, seq 0", hdr.Index)
 	}
-	if err := decodeStrict(lines[len(lines)-1], &seg.Footer); err != nil {
+	if err := readFooter(lines[len(lines)-1], &seg.Footer); err != nil {
 		return nil, fmt.Errorf("histlog: segment footer does not decode: %w", err)
 	}
 	recs := lines[1 : len(lines)-1]
@@ -304,12 +270,9 @@ func DecodeSegment(data []byte) (*Segment, error) {
 		return nil, fmt.Errorf("histlog: segment %d footer records %d, file holds %d", hdr.Index, seg.Footer.Records, len(recs))
 	}
 
-	h := sha256.New()
-	for _, r := range recs {
-		h.Write(r)
-		h.Write([]byte{'\n'})
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != seg.Footer.Checksum {
+	// The record lines are contiguous in data, newlines included.
+	sum := sha256.Sum256(data[len(lines[0])+1 : len(data)-len(lines[len(lines)-1])-1])
+	if got := hex.EncodeToString(sum[:]); got != seg.Footer.Checksum {
 		return nil, fmt.Errorf("histlog: segment %d record checksum mismatch (got %s, recorded %s): segment is corrupt", hdr.Index, got, seg.Footer.Checksum)
 	}
 
@@ -320,7 +283,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 		seg.Entries = make([]WindowEntry, 0, len(recs))
 		for i, r := range recs {
 			var e WindowEntry
-			if err := decodeStrict(r, &e); err != nil {
+			if err := readEntry(r, &e); err != nil {
 				return nil, fmt.Errorf("histlog: segment %d record %d does not decode: %w", hdr.Index, i, err)
 			}
 			if e.Window.Index != hdr.StartWindow+i {
@@ -342,7 +305,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 		if seg.Footer.EndSeq != seq {
 			return nil, fmt.Errorf("histlog: segment %d footer end seq %d, records end at %d", hdr.Index, seg.Footer.EndSeq, seq)
 		}
-		if len(recs) > 0 && seg.Footer.EndFrame != endFrame {
+		if seg.Footer.EndFrame != endFrame {
 			return nil, fmt.Errorf("histlog: segment %d footer end frame %d, records end at %d", hdr.Index, seg.Footer.EndFrame, endFrame)
 		}
 	case KindBase:
@@ -353,7 +316,7 @@ func DecodeSegment(data []byte) (*Segment, error) {
 		var prev video.TrackID = -1
 		for i, r := range recs {
 			var t trackdb.ViewTrack
-			if err := decodeStrict(r, &t); err != nil {
+			if err := readViewTrack(r, &t); err != nil {
 				return nil, fmt.Errorf("histlog: segment %d record %d does not decode: %w", hdr.Index, i, err)
 			}
 			if t.ID <= prev {

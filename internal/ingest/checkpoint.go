@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -51,6 +52,10 @@ import (
 //   - 6 stores each merge event once, in its window's result: Merger
 //     carries no events, and restore rebuilds the merger's retained log
 //     from the results' events numbered from the merger's event base.
+//   - 7 moves the bulk arrays out of the JSON into the envelope's binary
+//     bulk section (see AppendBulk): the stream hypotheses' appearance
+//     vectors and boxes with their Obs, the retired ledger, and the
+//     feature-cache vectors. The JSON keeps the structure around them.
 type sessionState struct {
 	// Configuration echoes.
 	WindowLen  int     `json:"window_len"`
@@ -64,13 +69,15 @@ type sessionState struct {
 	NextWindow int              `json:"next_window"`
 
 	// Component states. Stream holds only the unretired hypotheses;
-	// Retired is the session's ledger of retired tracks. PrevTc names, in
-	// order, the tracks of the last committed window's Tc; each is a live
-	// stream track, clipped to that window at restore. Merger holds the
-	// identity map and the event base but no events: the retained log is
-	// the Results' events from the base on.
+	// Retired is the session's ledger of retired tracks, whose boxes
+	// carry no Obs. PrevTc names, in order, the tracks of the last
+	// committed window's Tc; each is a live stream track, clipped to that
+	// window at restore. Merger holds the identity map and the event base
+	// but no events: the retained log is the Results' events from the
+	// base on. The hypotheses' boxes and appearance vectors, Retired and
+	// the oracle's cache are in the bulk section.
 	Stream  track.StreamState `json:"stream"`
-	Retired []ledgerTrack     `json:"retired,omitempty"`
+	Retired []*video.Track    `json:"-"`
 	PrevTc  []video.TrackID   `json:"prev_tc,omitempty"`
 	Merger  core.MergerState  `json:"merger"`
 	Oracle  reid.OracleState  `json:"oracle"`
@@ -102,49 +109,109 @@ type sessionState struct {
 	Flaky     *fault.FlakyState      `json:"flaky,omitempty"`
 }
 
-// ledgerTrack is a retired track as the checkpoint stores it.
-type ledgerTrack struct {
-	ID    video.TrackID `json:"id"`
-	Boxes []ledgerBox   `json:"boxes"`
-}
+// The bulk section holds, in order:
+//
+//   - for each stream hypothesis, Active then Finished: its appearance
+//     vector (checkpoint.AppendFloat64s) and its boxes;
+//   - the retired ledger: a uvarint track count, then per track its ID
+//     (varint) and boxes;
+//   - the feature cache: a uvarint entry count, then per entry its BBox ID
+//     as a varint delta from the previous entry's, and its vector.
+//
+// A box list is a uvarint count, then per box: its ID and frame as
+// varint deltas from the previous box's (0 before the first), the rect's
+// four floats, class and ground-truth object as varints, and Obs. A
+// retired box (no Obs) takes about 38 bytes, against about 110 as JSON.
+// Empty lists decode as nil.
 
-// ledgerBox is a retired box as the checkpoint stores it: what the
-// ledger keeps of a box under one-letter keys, with the rect as an
-// array. The ledger grows with the stream, and a JSON video.BBox spends
-// about half its bytes on field names and "Obs":null.
-type ledgerBox struct {
-	ID    video.BBoxID     `json:"i"`
-	Frame video.FrameIndex `json:"f"`
-	Rect  [4]float64       `json:"r"`
-	Class video.ClassID    `json:"c,omitempty"`
-	GT    video.ObjectID   `json:"g"`
-}
+// minBoxBytes is the smallest encoded box: four one-byte varints, the
+// rect, and a nil Obs.
+const minBoxBytes = 4 + 32 + 1
 
-// toLedger encodes the retired tracks for a checkpoint.
-func toLedger(ts []*video.Track) []ledgerTrack {
-	out := make([]ledgerTrack, len(ts))
-	for i, t := range ts {
-		out[i] = ledgerTrack{ID: t.ID, Boxes: make([]ledgerBox, len(t.Boxes))}
-		for j, b := range t.Boxes {
-			r := b.Rect
-			out[i].Boxes[j] = ledgerBox{ID: b.ID, Frame: b.Frame, Rect: [4]float64{r.X, r.Y, r.W, r.H}, Class: b.Class, GT: b.GTObject}
+// AppendBulk implements checkpoint.Bulk.
+func (st *sessionState) AppendBulk(dst []byte) []byte {
+	for _, hs := range [2][]track.HypothesisState{st.Stream.Active, st.Stream.Finished} {
+		for i := range hs {
+			dst = checkpoint.AppendFloat64s(dst, hs[i].Appearance)
+			dst = appendBoxes(dst, hs[i].Boxes)
 		}
 	}
-	return out
+	dst = binary.AppendUvarint(dst, uint64(len(st.Retired)))
+	for _, t := range st.Retired {
+		dst = binary.AppendVarint(dst, int64(t.ID))
+		dst = appendBoxes(dst, t.Boxes)
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(st.Oracle.Cache)))
+	var prev video.BBoxID
+	for _, cf := range st.Oracle.Cache {
+		dst = binary.AppendVarint(dst, int64(cf.ID-prev))
+		dst = checkpoint.AppendFloat64s(dst, cf.Vec)
+		prev = cf.ID
+	}
+	return dst
 }
 
-// fromLedger decodes checkpointed retired tracks; their boxes carry no
-// Obs.
-func fromLedger(ls []ledgerTrack) []*video.Track {
-	out := make([]*video.Track, len(ls))
-	for i, l := range ls {
-		out[i] = &video.Track{ID: l.ID, Boxes: make([]video.BBox, len(l.Boxes))}
-		for j, b := range l.Boxes {
-			r := geom.Rect{X: b.Rect[0], Y: b.Rect[1], W: b.Rect[2], H: b.Rect[3]}
-			out[i].Boxes[j] = video.BBox{ID: b.ID, Frame: b.Frame, Rect: r, Class: b.Class, GTObject: b.GT}
+// ReadBulk implements checkpoint.Bulk.
+func (st *sessionState) ReadBulk(r *checkpoint.Reader) error {
+	for _, hs := range [2][]track.HypothesisState{st.Stream.Active, st.Stream.Finished} {
+		for i := 0; i < len(hs) && r.Err() == nil; i++ {
+			hs[i].Appearance = r.Float64s()
+			hs[i].Boxes = readBoxes(r)
 		}
 	}
-	return out
+	if n := r.Len(2); n > 0 {
+		st.Retired = make([]*video.Track, n)
+		for i := range st.Retired {
+			st.Retired[i] = &video.Track{ID: video.TrackID(r.Varint()), Boxes: readBoxes(r)}
+		}
+	}
+	if n := r.Len(2); n > 0 {
+		st.Oracle.Cache = make([]reid.CachedFeature, n)
+		var prev video.BBoxID
+		for i := range st.Oracle.Cache {
+			prev += video.BBoxID(r.Varint())
+			st.Oracle.Cache[i] = reid.CachedFeature{ID: prev, Vec: r.Float64s()}
+		}
+	}
+	return r.Err()
+}
+
+func appendBoxes(dst []byte, bs []video.BBox) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(bs)))
+	var prev video.BBox
+	for i := range bs {
+		b := &bs[i]
+		dst = binary.AppendVarint(dst, int64(b.ID-prev.ID))
+		dst = binary.AppendVarint(dst, int64(b.Frame-prev.Frame))
+		for _, v := range [4]float64{b.Rect.X, b.Rect.Y, b.Rect.W, b.Rect.H} {
+			dst = checkpoint.AppendFloat64(dst, v)
+		}
+		dst = binary.AppendVarint(dst, int64(b.Class))
+		dst = binary.AppendVarint(dst, int64(b.GTObject))
+		dst = checkpoint.AppendFloat64s(dst, b.Obs)
+		prev = *b
+	}
+	return dst
+}
+
+func readBoxes(r *checkpoint.Reader) []video.BBox {
+	n := r.Len(minBoxBytes)
+	if n == 0 {
+		return nil
+	}
+	bs := make([]video.BBox, n)
+	var prev video.BBox
+	for i := range bs {
+		b := &bs[i]
+		b.ID = prev.ID + video.BBoxID(r.Varint())
+		b.Frame = prev.Frame + video.FrameIndex(r.Varint())
+		b.Rect = geom.Rect{X: r.Float64(), Y: r.Float64(), W: r.Float64(), H: r.Float64()}
+		b.Class = video.ClassID(r.Varint())
+		b.GTObject = video.ObjectID(r.Varint())
+		b.Obs = r.Float64s()
+		prev = *b
+	}
+	return bs
 }
 
 // historyRef is a checkpoint's durable position in a session's
@@ -215,7 +282,12 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 		in.merger.TrimEvents(in.hist.log.SealedSeq())
 		in.ckptCompactions = in.hist.compactions
 	}
-	st := sessionState{
+	return checkpoint.Seal(in.state())
+}
+
+// state assembles the session's checkpoint payload.
+func (in *Ingestor) state() *sessionState {
+	st := &sessionState{
 		WindowLen:  in.cfg.WindowLen,
 		K:          in.cfg.K,
 		Algorithm:  in.cfg.Algorithm.Name(),
@@ -226,7 +298,7 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 		NextWindow: in.nextWindow,
 
 		Stream:  in.stream.State(),
-		Retired: toLedger(in.retired),
+		Retired: in.retired,
 		Merger:  in.merger.State(),
 		Oracle:  in.oracle.State(),
 		Results: in.results,
@@ -280,8 +352,7 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 			d = nil
 		}
 	}
-
-	return checkpoint.Seal(&st)
+	return st
 }
 
 // CheckpointNextFrame reads the frame cursor, next_frame, out of
@@ -475,7 +546,7 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 	}
 	// Retired track IDs must be unique across the ledger and the stream,
 	// or MergedTracks could not build a track set.
-	retired := fromLedger(st.Retired)
+	retired := st.Retired
 	for _, t := range retired {
 		if err := t.Validate(); err != nil {
 			return nil, fmt.Errorf("ingest: restore: retired track invalid: %w", err)

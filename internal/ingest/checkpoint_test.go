@@ -418,7 +418,9 @@ func TestConfigValidatesDurabilityFields(t *testing.T) {
 
 // TestCheckpointNextFrameMatchesOpen: the unverified cursor scan reads
 // the next_frame that a verified checkpoint.Open decodes, on every
-// checkpoint a plain and a history session hand their sinks.
+// checkpoint a plain and a history session hand their sinks. The scan
+// stops inside the JSON part: it reads the same cursor with the binary
+// bulk section cut off or overwritten.
 func TestCheckpointNextFrameMatchesOpen(t *testing.T) {
 	v := streamScene(t)
 	for _, history := range []bool{false, true} {
@@ -459,10 +461,15 @@ func TestCheckpointNextFrameMatchesOpen(t *testing.T) {
 			if err := checkpoint.Open(data, &want); err != nil {
 				t.Fatal(err)
 			}
-			got, err := CheckpointNextFrame(data)
-			if err != nil || got != want.NextFrame {
-				t.Errorf("history=%v checkpoint %d: CheckpointNextFrame = %d, %v; checkpoint.Open reads %d",
-					history, i, got, err, want.NextFrame)
+			n := bulkLen(t, data)
+			cut := data[:len(data)-n]
+			garbled := append(append([]byte(nil), cut...), bytes.Repeat([]byte(`"{[`), n)...)
+			for _, scan := range [][]byte{data, cut, garbled} {
+				got, err := CheckpointNextFrame(scan)
+				if err != nil || got != want.NextFrame {
+					t.Errorf("history=%v checkpoint %d (%d of %d bytes): CheckpointNextFrame = %d, %v; checkpoint.Open reads %d",
+						history, i, len(scan), len(data), got, err, want.NextFrame)
+				}
 			}
 		}
 	}

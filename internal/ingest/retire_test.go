@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +11,7 @@ import (
 	"github.com/tmerge/tmerge/internal/core"
 	"github.com/tmerge/tmerge/internal/dataset"
 	"github.com/tmerge/tmerge/internal/device"
+	"github.com/tmerge/tmerge/internal/histlog"
 	"github.com/tmerge/tmerge/internal/query"
 	"github.com/tmerge/tmerge/internal/reid"
 	"github.com/tmerge/tmerge/internal/synth"
@@ -345,6 +348,49 @@ func BenchmarkRestore(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := Restore(track.Tracktor(), longHorizonOracle(), cfg, data); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkDecodeSegment times decoding every history segment (raw and
+// compacted base) that the 1,200-frame longhorizon session, history
+// mode, leaves on disk: the read path of AsOf, compaction and restore
+// replays.
+func BenchmarkDecodeSegment(b *testing.B) {
+	v, window := longHorizon(b, 1, 1200)
+	dir := b.TempDir()
+	in, err := New(track.Tracktor(), longHorizonOracle(), longHorizonConfig(window, &HistoryConfig{Dir: dir}, func([]byte) error { return nil }))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for f, dets := range v.Detections {
+		in.PushAt(video.FrameIndex(f), dets)
+	}
+	if _, err := in.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "seg-*.ndjson"))
+	if err != nil || len(files) == 0 {
+		b.Fatalf("no segments in %s: %v", dir, err)
+	}
+	var segs [][]byte
+	size := 0
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		segs = append(segs, data)
+		size += len(data)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, data := range segs {
+			if _, err := histlog.DecodeSegment(data); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

@@ -129,19 +129,20 @@ func (o *Oracle) RetainFeatures(keep []video.BBoxID) {
 
 // CachedFeature is one serialised feature-cache entry.
 type CachedFeature struct {
-	ID  video.BBoxID `json:"id"`
-	Vec []float64    `json:"vec"`
+	ID  video.BBoxID
+	Vec []float64
 }
 
 // OracleState is the serialisable form of an Oracle's mutable state: the
 // work counters and the feature cache, entries sorted by BBox ID for a
 // deterministic encoding. Restoring it makes a fresh oracle's cache-hit /
 // extraction accounting continue exactly where an interrupted session's
-// left off.
+// left off. The cache is not JSON: the session checkpoint carries it in
+// its binary bulk section (internal/ingest).
 type OracleState struct {
 	Stats        Stats           `json:"stats"`
 	CacheEnabled bool            `json:"cache_enabled"`
-	Cache        []CachedFeature `json:"cache,omitempty"`
+	Cache        []CachedFeature `json:"-"`
 }
 
 // State snapshots the oracle's counters and feature cache.

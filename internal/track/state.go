@@ -34,12 +34,14 @@ type BoxKFState struct {
 }
 
 // HypothesisState is the serialisable form of one track hypothesis,
-// active or finished.
+// active or finished. Its bulk arrays, the appearance vector and the
+// boxes, are not JSON: the session checkpoint carries them in its binary
+// bulk section (internal/ingest).
 type HypothesisState struct {
 	ID         video.TrackID `json:"id"`
 	KF         BoxKFState    `json:"kf"`
-	Appearance []float64     `json:"appearance,omitempty"`
-	Boxes      []video.BBox  `json:"boxes"`
+	Appearance []float64     `json:"-"`
+	Boxes      []video.BBox  `json:"-"`
 	Misses     int           `json:"misses"`
 	Hits       int           `json:"hits"`
 }
