@@ -21,7 +21,9 @@ type Algorithm interface {
 
 // scored pairs ranking helper shared by the algorithms: sorts ascending by
 // score with the deterministic pair-key tiebreak, then truncates to the
-// top-⌈K·|Pc|⌉.
+// top-⌈K·|Pc|⌉. A NaN score (a NaN distance propagates into a mean) ranks
+// after every number: the comparison must be a total order, or one NaN
+// can leave the finite scores around it unsorted.
 type scoredPair struct {
 	key   video.PairKey
 	score float64
@@ -29,8 +31,12 @@ type scoredPair struct {
 
 func rankAndTruncate(scored []scoredPair, ps *video.PairSet, K float64) []video.PairKey {
 	sort.Slice(scored, func(i, j int) bool {
-		if scored[i].score != scored[j].score {
-			return scored[i].score < scored[j].score
+		si, sj := scored[i].score, scored[j].score
+		if ni, nj := si != si, sj != sj; ni != nj {
+			return nj
+		}
+		if si != sj && si == si {
+			return si < sj
 		}
 		if scored[i].key.A != scored[j].key.A {
 			return scored[i].key.A < scored[j].key.A

@@ -113,6 +113,12 @@ type TMergeDiagnostics struct {
 // accumulate failures, their posterior mean drops, and sampling
 // concentrates on them: computation flows to the pairs most likely to be
 // polyonymous.
+//
+// A round draws one posterior sample per pulled pair, but not one per
+// never-pulled pair: those still hold one of two priors, and each prior
+// group's smallest samples are drawn directly from their order-statistic
+// distribution (see thompson), so a round's winners have the
+// distribution of the per-pair loop at the cost of the pulled pairs.
 type TMerge struct {
 	cfg TMergeConfig
 
@@ -172,6 +178,10 @@ func (a *TMerge) CloneAlgorithm() Algorithm { return NewTMerge(a.cfg) }
 // Diagnostics returns the diagnostics of the most recent Select call.
 func (a *TMerge) Diagnostics() TMergeDiagnostics { return a.diag }
 
+// gaussSigma0 is the prior standard deviation of the Gaussian-posterior
+// variant.
+const gaussSigma0 = 0.35
+
 // pairState is the per-arm bandit state.
 type pairState struct {
 	beta stats.Beta
@@ -192,15 +202,17 @@ type pairState struct {
 	priorWeight float64
 	// prune status
 	prunedIn, prunedOut bool
+	// group indexes the arm's prior group (thompson.groups) and slot its
+	// position in that group's member list while the arm is unpulled.
+	group, slot int
 }
 
 // gaussPosterior returns the posterior mean and stddev of the
 // Gaussian-posterior variant: the prior acts as one pseudo-observation.
 func (s *pairState) gaussPosterior() (mean, sd float64) {
-	const sigma0 = 0.35
 	n := float64(s.count)
 	mean = (s.priorMean + s.sum) / (n + 1)
-	sd = sigma0 / math.Sqrt(n+1)
+	sd = gaussSigma0 / math.Sqrt(n+1)
 	return mean, sd
 }
 
@@ -263,68 +275,44 @@ func (a *TMerge) Select(ps *video.PairSet, oracle *reid.Oracle, K float64) []vid
 	// live in one contiguous slice — one allocation for the whole window
 	// instead of one per pair.
 	arms := make([]pairState, n)
-	tsRng := xrand.Derive(a.cfg.Seed, "tmerge:thompson")
 	bernRng := xrand.Derive(a.cfg.Seed, "tmerge:bernoulli")
 	for i, p := range ps.Pairs {
-		beta := stats.NewBeta(1, 1)
+		g := 0
 		if a.cfg.UseBetaInit && p.DisS < a.cfg.ThrS {
 			// BetaInit: spatially close pairs get a lower prior mean so
 			// they are explored first (Algorithm 3, line 3).
-			beta = stats.NewBeta(1, 2)
+			g = 1
 		}
+		beta := stats.NewBeta(1, priorB[g])
 		arms[i] = pairState{
 			beta:        beta,
 			priorMean:   beta.Mean(),
 			priorWeight: beta.S + beta.F,
+			group:       g,
 		}
 		arms[i].sampler.init(p.NumBBoxPairs(), xrand.DeriveN(a.cfg.Seed, "tmerge:boxes:"+p.Key.String(), i))
 	}
+	ts := newThompson(arms, xrand.Derive(a.cfg.Seed, "tmerge:thompson"), a.cfg.GaussianPosterior)
 
 	tau := 0
-	chosen := make([]int, 0, a.cfg.Batch)
-	thetas := make([]float64, 0, a.cfg.Batch)
 	batch := make([][2]video.BBox, 0, a.cfg.Batch)
 	for tau < a.cfg.TauMax {
 		// Lines 4-6: Thompson-sample every active pair and keep the
 		// smallest Batch samples (Batch == 1 reproduces the sequential
-		// argmin). Selection keeps a small sorted buffer instead of
-		// sorting all pairs: O(n + B log B) expected per round.
+		// argmin).
 		want := a.cfg.Batch
 		if tau+want > a.cfg.TauMax {
 			want = a.cfg.TauMax - tau
 		}
-		chosen = chosen[:0]
-		thetas = thetas[:0]
-		for i := range arms {
-			s := &arms[i]
-			if !s.active() {
-				continue
-			}
-			var theta float64
-			if a.cfg.GaussianPosterior {
-				m, sd := s.gaussPosterior()
-				theta = tsRng.Gaussian(m, sd)
-			} else {
-				theta = tsRng.Beta(s.beta.S, s.beta.F)
-			}
-			if len(chosen) < want {
-				insertCandidate(&chosen, &thetas, i, theta)
-				continue
-			}
-			if theta < thetas[len(thetas)-1] {
-				chosen = chosen[:len(chosen)-1]
-				thetas = thetas[:len(thetas)-1]
-				insertCandidate(&chosen, &thetas, i, theta)
-			}
-		}
-		if len(chosen) == 0 {
+		ts.draw(arms, want)
+		if len(ts.chosen) == 0 {
 			break // everything pruned or drained
 		}
 
 		// Lines 7-8: draw one BBox pair per chosen track pair and evaluate
 		// the whole round as one device submission.
 		batch = batch[:0]
-		for _, idx := range chosen {
+		for _, idx := range ts.chosen {
 			ba, bb := ps.Pairs[idx].BBoxPairAt(arms[idx].sampler.Next())
 			batch = append(batch, [2]video.BBox{ba, bb})
 		}
@@ -334,9 +322,12 @@ func (a *TMerge) Select(ps *video.PairSet, oracle *reid.Oracle, K float64) []vid
 		// Lines 9-13: posterior update from d̃ — a literal Bernoulli trial
 		// or the fractional bounded-reward update (see
 		// TMergeConfig.LiteralBernoulli).
-		for k, idx := range chosen {
+		for k, idx := range ts.chosen {
 			d := dists[k]
 			s := &arms[idx]
+			if s.count == 0 {
+				ts.pull(arms, idx)
+			}
 			s.observe(d)
 			if a.cfg.LiteralBernoulli {
 				s.beta = s.beta.Observe(bernRng.Bernoulli(d))
@@ -345,15 +336,16 @@ func (a *TMerge) Select(ps *video.PairSet, oracle *reid.Oracle, K float64) []vid
 			}
 			a.diag.SumDistances += d
 		}
-		tau += len(chosen)
+		tau += len(ts.chosen)
 		a.diag.Iterations = tau
 
-		// Line 14: ULB pruning (Algorithm 4).
+		// Line 14: ULB pruning (Algorithm 4). It prunes only pulled
+		// arms, so settling is counted over those.
 		if a.cfg.UseULB {
-			a.ulb(arms, tau, kCount)
+			a.ulb(arms, ts.pulled, ts.drainedAtStart, tau, kCount)
 			if a.cfg.StopWhenSettled {
 				settled := 0
-				for i := range arms {
+				for _, i := range ts.pulled {
 					if arms[i].prunedIn {
 						settled++
 					}
@@ -415,6 +407,133 @@ func insertCandidate(chosen *[]int, thetas *[]float64, idx int, theta float64) {
 	*chosen, *thetas = c, t
 }
 
+// priorB holds the second shape of each prior group's Beta(1, b) prior:
+// the uninformed Beta(1, 1) and BetaInit's Beta(1, 2) (Algorithm 3).
+var priorB = [2]float64{1, 2}
+
+// thompson draws the rounds of one Select call (Algorithm 2, lines 4-6).
+//
+// An arm that has never been pulled still holds its prior, and ULB never
+// prunes it, so the active unpulled arms fall into one group per prior.
+// The m arms of a group are i.i.d. draws from one distribution F, so
+// their smallest samples are F⁻¹ of the smallest of m uniforms, and the
+// arms that hold them are a uniform random selection without
+// replacement, independent of the values. With lq = ln(1 − U) for the
+// ascending uniform order statistics U₍₁₎ ≤ U₍₂₎ ≤ …, the survival
+// 1 − U₍₁₎ is the largest of m uniforms, V^(1/m), and given U₍ⱼ₎ the
+// rest are uniform above it, so
+//
+//	lq₁ = ln V₁ / m,   lqⱼ₊₁ = lqⱼ + ln Vⱼ₊₁ / (m − j).
+//
+// For Beta(1, b), F⁻¹(u) = 1 − (1 − u)^(1/b), so θ = −expm1(lq / b);
+// at j = 1 that is the Beta(1, m·b) minimum. For the Gaussian variant's
+// prior N(μ, σ₀), θ = μ + σ₀·Φ⁻¹(−expm1(lq)). A round draws each
+// non-empty group's smallest min(want, m) samples, in group order, then
+// one posterior sample per active pulled arm, in order of first pull,
+// and keeps the smallest want of them: the same winners, in
+// distribution, as drawing every active arm, since only a group's
+// smallest want samples can be among them.
+type thompson struct {
+	rng      *xrand.RNG
+	gaussian bool
+	// groups[g] lists the active arms that still hold prior g, in no
+	// particular order; arms[i].slot is arm i's position there.
+	groups [2][]int
+	// pulled lists every arm pulled at least once, in order of first
+	// pull — pruned and drained ones included, for the ULB count.
+	pulled []int
+	// drainedAtStart counts the arms whose BBox pair universe was empty
+	// at Select start: never pulled, never in a group, radius 0.
+	drainedAtStart int
+	// chosen and thetas are the round's winners, ascending by sample.
+	chosen []int
+	thetas []float64
+}
+
+// newThompson sorts arms into the pulled list (count > 0, in index order)
+// and the prior groups (unpulled arms with BBox pairs left).
+func newThompson(arms []pairState, rng *xrand.RNG, gaussian bool) *thompson {
+	t := &thompson{rng: rng, gaussian: gaussian}
+	for i := range arms {
+		s := &arms[i]
+		switch {
+		case s.count > 0:
+			t.pulled = append(t.pulled, i)
+		case s.sampler.Exhausted():
+			t.drainedAtStart++
+		default:
+			s.slot = len(t.groups[s.group])
+			t.groups[s.group] = append(t.groups[s.group], i)
+		}
+	}
+	return t
+}
+
+// pull moves unpulled arm i from its prior group to the pulled list,
+// before its first observation.
+func (t *thompson) pull(arms []pairState, i int) {
+	members := t.groups[arms[i].group]
+	last := len(members) - 1
+	moved := members[last]
+	members[arms[i].slot] = moved
+	arms[moved].slot = arms[i].slot
+	t.groups[arms[i].group] = members[:last]
+	t.pulled = append(t.pulled, i)
+}
+
+// draw runs one round's Thompson draws and leaves the smallest want
+// samples, with their arms, in chosen and thetas.
+func (t *thompson) draw(arms []pairState, want int) {
+	t.chosen, t.thetas = t.chosen[:0], t.thetas[:0]
+	for g, members := range t.groups {
+		m := len(members)
+		lq := 0.0
+		for j := 0; j < min(want, m); j++ {
+			lq -= t.rng.Exp(float64(m - j)) // ln Vⱼ₊₁ / (m − j)
+			// Partial Fisher–Yates: members[j] becomes a uniform pick
+			// among the members not yet drawn this round.
+			r := j + t.rng.Intn(m-j)
+			members[j], members[r] = members[r], members[j]
+			arms[members[j]].slot, arms[members[r]].slot = j, r
+			var theta float64
+			if t.gaussian {
+				mu := 1 / (1 + priorB[g]) // the Beta(1, b) prior's mean
+				theta = mu + gaussSigma0*math.Sqrt2*math.Erfinv(-2*math.Expm1(lq)-1)
+			} else {
+				theta = -math.Expm1(lq / priorB[g])
+			}
+			t.consider(members[j], theta, want)
+		}
+	}
+	for _, i := range t.pulled {
+		s := &arms[i]
+		if !s.active() {
+			continue
+		}
+		var theta float64
+		if t.gaussian {
+			m, sd := s.gaussPosterior()
+			theta = t.rng.Gaussian(m, sd)
+		} else {
+			theta = t.rng.Beta(s.beta.S, s.beta.F)
+		}
+		t.consider(i, theta, want)
+	}
+}
+
+// consider offers arm i's sample to the round's smallest want.
+func (t *thompson) consider(i int, theta float64, want int) {
+	if len(t.chosen) < want {
+		insertCandidate(&t.chosen, &t.thetas, i, theta)
+		return
+	}
+	if theta < t.thetas[len(t.thetas)-1] {
+		t.chosen = t.chosen[:len(t.chosen)-1]
+		t.thetas = t.thetas[:len(t.thetas)-1]
+		insertCandidate(&t.chosen, &t.thetas, i, theta)
+	}
+}
+
 // ulb is Algorithm 4: using confidence intervals [s̃' − U, s̃' + U]
 // (see radius), prune pairs that are confidently inside the top-kCount
 // (they need no more sampling) or confidently outside it.
@@ -432,10 +551,10 @@ func insertCandidate(chosen *[]int, thetas *[]float64, idx int, theta float64) {
 // Both follow from #{x < v} ≤ k ⟺ sorted[k] ≥ v. The two order
 // statistics come from an O(n) selection, so each pass is O(n) instead
 // of the O(n log n) of sorting both bound arrays.
-func (a *TMerge) ulb(arms []pairState, tau, kCount int) {
+func (a *TMerge) ulb(arms []pairState, pulled []int, drainedAtStart, tau, kCount int) {
 	n := len(arms)
 	logTau := math.Log(float64(max(tau, 2)))
-	if a.ulbCannotPrune(arms, logTau, kCount) {
+	if a.ulbCannotPrune(arms, pulled, drainedAtStart, logTau, kCount) {
 		return
 	}
 	// The bound arrays are scratch reused across pruning passes and
@@ -496,9 +615,16 @@ func (a *TMerge) ulb(arms []pairState, tau, kCount int) {
 // happens to an infinite-radius arm, and the finite-radius arms that
 // could be pruned are checked one by one (a NaN or infinite distance
 // can produce such bounds).
-func (a *TMerge) ulbCannotPrune(arms []pairState, logTau float64, kCount int) bool {
-	finite := 0
-	for i := range arms {
+//
+// Only pulled arms are visited: an unpulled arm has an infinite radius
+// unless its universe was empty at Select start (drainedAtStart), when
+// its radius is 0 and it cannot be pruned.
+func (a *TMerge) ulbCannotPrune(arms []pairState, pulled []int, drainedAtStart int, logTau float64, kCount int) bool {
+	finite := drainedAtStart
+	if finite >= kCount {
+		return false
+	}
+	for _, i := range pulled {
 		s := &arms[i]
 		if a.unbounded(s) {
 			continue
@@ -506,14 +632,14 @@ func (a *TMerge) ulbCannotPrune(arms []pairState, logTau float64, kCount int) bo
 		if finite++; finite >= kCount {
 			return false
 		}
-		if s.active() && s.count > 0 {
+		if s.active() {
 			u, m := a.radius(s, logTau), s.mean()
 			if m+u == math.Inf(-1) || math.IsNaN(m-u) {
 				return false
 			}
 		}
 	}
-	return finite < kCount && len(arms)-finite > kCount
+	return len(arms)-finite > kCount
 }
 
 // unbounded reports whether a pair's confidence radius is +Inf: it is

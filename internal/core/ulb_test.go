@@ -66,55 +66,61 @@ func selectDigest(scene, variant string, seed uint64) string {
 // The Beta-posterior rows were re-recorded when Gamma moved to the
 // ziggurat normal, a change the paper-claims gate (benchrunner -exp
 // claims) accepted; the GaussianPosterior rows, which draw no Beta,
-// did not move.
+// did not move then. All rows were re-recorded again, also accepted by
+// that gate, when never-pulled arms moved to grouped prior draws
+// (thompson): a round's winners keep their distribution, but every
+// stream that draws one moves, and with it which arm is pulled when.
+// Three allIn rows kept their digest; on the other allIn rows only the
+// last bits of the distance sums moved, since the same six distances are
+// summed in another order.
 var goldenSelects = []struct {
 	scene, variant string
 	seed           uint64
 	want           string
 }{
-	{"mixed", "default", 1, "n=18 keys=4b223d41b6b1892c it=3000 in=5 out=3 drained=3 regret=3fc817ce58600d3a sum=409092e27e8fd4e3"},
-	{"mixed", "default", 2, "n=18 keys=ebf4e183d70a222c it=3000 in=7 out=4 drained=3 regret=3fc87c80088b31f3 sum=4090b7c290d3a196"},
-	{"mixed", "default", 3, "n=18 keys=827265df402bb5dc it=3000 in=7 out=8 drained=3 regret=3fc8919321d54678 sum=4090bf7a4f568298"},
-	{"mixed", "ULBHoeffding", 1, "n=18 keys=2574eb66410379c8 it=3000 in=0 out=0 drained=4 regret=3fc7068485e768e8 sum=40902ecdb5bc26b6"},
-	{"mixed", "ULBHoeffding", 2, "n=18 keys=dc464d32ebccc5a4 it=3000 in=0 out=0 drained=4 regret=3fc7118d88a5c52b sum=409032d8427d5d00"},
-	{"mixed", "ULBHoeffding", 3, "n=18 keys=f42ef5eca57147fc it=3000 in=0 out=0 drained=4 regret=3fc724d562cabe4a sum=409039e7d2a06739"},
-	{"mixed", "StopWhenSettled", 1, "n=18 keys=4b223d41b6b1892c it=3000 in=5 out=3 drained=3 regret=3fc817ce58600d3a sum=409092e27e8fd4e3"},
-	{"mixed", "StopWhenSettled", 2, "n=18 keys=ebf4e183d70a222c it=3000 in=7 out=4 drained=3 regret=3fc87c80088b31f3 sum=4090b7c290d3a196"},
-	{"mixed", "StopWhenSettled", 3, "n=18 keys=827265df402bb5dc it=3000 in=7 out=8 drained=3 regret=3fc8919321d54678 sum=4090bf7a4f568298"},
-	{"mixed", "Batch=4", 1, "n=18 keys=b61cb323ad5878b4 it=3000 in=11 out=11 drained=0 regret=3fcf9d81a1332764 sum=4093601b276d9f02"},
-	{"mixed", "Batch=4", 2, "n=18 keys=bd8af384e6395638 it=3000 in=11 out=7 drained=0 regret=3fcf07cd1f50f768 sum=40931dfb59d9c8cb"},
-	{"mixed", "Batch=4", 3, "n=18 keys=b053ff8c6739d964 it=3000 in=11 out=11 drained=0 regret=3fd02b60a2dd22b7 sum=409397ae7919686e"},
-	{"mixed", "GaussianPosterior", 1, "n=18 keys=5e8107fff8f8bea8 it=3000 in=8 out=11 drained=3 regret=3fc9aaca2073047e sum=409126763314c6f0"},
-	{"mixed", "GaussianPosterior", 2, "n=18 keys=ee4e1bb9fa07255c it=3000 in=7 out=7 drained=3 regret=3fc911894436884b sum=4090ee56b26da075"},
-	{"mixed", "GaussianPosterior", 3, "n=18 keys=a3b5fa92c5b6f778 it=3000 in=8 out=10 drained=3 regret=3fc95c34a1fde16c sum=409109aef4056157"},
-	{"wide", "default", 1, "n=8 keys=09cb833e6117cc5f it=2039 in=0 out=143 drained=10 regret=3fd6829df3465142 sum=40902a73834a3cea"},
-	{"wide", "default", 2, "n=8 keys=09cb833e6117cc5f it=2044 in=0 out=143 drained=10 regret=3fd679429eae91f4 sum=40902fee22b6d151"},
-	{"wide", "default", 3, "n=8 keys=09cb833e6117cc5f it=2066 in=0 out=142 drained=11 regret=3fd6834e17b72c5a sum=409061994810b5a8"},
-	{"wide", "ULBHoeffding", 1, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6c82980ed72ec sum=4097fbe0fafeff5c"},
-	{"wide", "ULBHoeffding", 2, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6d185a3f722ce sum=409802bbf6a897ae"},
-	{"wide", "ULBHoeffding", 3, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6dfc3405309d4 sum=40980d2a16ade762"},
-	{"wide", "StopWhenSettled", 1, "n=8 keys=09cb833e6117cc5f it=2039 in=0 out=143 drained=10 regret=3fd6829df3465142 sum=40902a73834a3cea"},
-	{"wide", "StopWhenSettled", 2, "n=8 keys=09cb833e6117cc5f it=2044 in=0 out=143 drained=10 regret=3fd679429eae91f4 sum=40902fee22b6d151"},
-	{"wide", "StopWhenSettled", 3, "n=8 keys=09cb833e6117cc5f it=2066 in=0 out=142 drained=11 regret=3fd6834e17b72c5a sum=409061994810b5a8"},
-	{"wide", "Batch=4", 1, "n=8 keys=09cb833e6117cc5f it=2005 in=0 out=143 drained=10 regret=3fd6836bb161dde8 sum=408fcbac58587269"},
-	{"wide", "Batch=4", 2, "n=8 keys=09cb833e6117cc5f it=2071 in=0 out=143 drained=10 regret=3fd67f508e980232 sum=409069baf0fab52a"},
-	{"wide", "Batch=4", 3, "n=8 keys=09cb833e6117cc5f it=2036 in=0 out=142 drained=11 regret=3fd681ffd0f0e068 sum=4090240e23ca7c19"},
-	{"wide", "GaussianPosterior", 1, "n=8 keys=09cb833e6117cc5f it=2080 in=0 out=143 drained=10 regret=3fd68dccbeaed4aa sum=4090835874aa0367"},
-	{"wide", "GaussianPosterior", 2, "n=8 keys=09cb833e6117cc5f it=2132 in=0 out=143 drained=10 regret=3fd68c2f83234a0c sum=4090ec30605647fd"},
-	{"wide", "GaussianPosterior", 3, "n=8 keys=09cb833e6117cc5f it=2098 in=0 out=142 drained=11 regret=3fd6889e22f252d8 sum=4090a54627629dce"},
-	{"allIn", "default", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ad6 sum=4001cd69bc5a188f"},
-	{"allIn", "default", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa578 sum=400174559b55b72a"},
-	{"allIn", "default", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd3 sum=400176651eb0ff01"},
-	{"allIn", "ULBHoeffding", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ad6 sum=4001cd69bc5a188f"},
-	{"allIn", "ULBHoeffding", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa578 sum=400174559b55b72a"},
-	{"allIn", "ULBHoeffding", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd3 sum=400176651eb0ff01"},
-	{"allIn", "StopWhenSettled", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ad6 sum=4001cd69bc5a188f"},
-	{"allIn", "StopWhenSettled", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa578 sum=400174559b55b72a"},
-	{"allIn", "StopWhenSettled", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd3 sum=400176651eb0ff01"},
+	{"mixed", "default", 1, "n=18 keys=fca2db9fd3f1d3fc it=3000 in=6 out=7 drained=3 regret=3fc8430b171804e8 sum=4090a2b7fd67b3d7"},
+	{"mixed", "default", 2, "n=18 keys=f968c4742ce88174 it=3000 in=5 out=4 drained=3 regret=3fc85a4582770f8d sum=4090ab39a239c1fd"},
+	{"mixed", "default", 3, "n=18 keys=da0dfe5feefb26ec it=3000 in=7 out=8 drained=3 regret=3fc89c12f6afe9e0 sum=4090c3529f8993ef"},
+	{"mixed", "ULBHoeffding", 1, "n=18 keys=7d5674b0058252bc it=3000 in=0 out=0 drained=3 regret=3fc70b138c071b96 sum=40903079163a4265"},
+	{"mixed", "ULBHoeffding", 2, "n=18 keys=dc464d32ebccc5a4 it=3000 in=0 out=0 drained=3 regret=3fc70f62c8f1f0bb sum=4090320d1ac941f4"},
+	{"mixed", "ULBHoeffding", 3, "n=18 keys=c508cf1832ff2b80 it=3000 in=0 out=0 drained=4 regret=3fc72988e3db609c sum=40903ba08f243eab"},
+	{"mixed", "StopWhenSettled", 1, "n=18 keys=fca2db9fd3f1d3fc it=3000 in=6 out=7 drained=3 regret=3fc8430b171804e8 sum=4090a2b7fd67b3d7"},
+	{"mixed", "StopWhenSettled", 2, "n=18 keys=f968c4742ce88174 it=3000 in=5 out=4 drained=3 regret=3fc85a4582770f8d sum=4090ab39a239c1fd"},
+	{"mixed", "StopWhenSettled", 3, "n=18 keys=da0dfe5feefb26ec it=3000 in=7 out=8 drained=3 regret=3fc89c12f6afe9e0 sum=4090c3529f8993ef"},
+	{"mixed", "Batch=4", 1, "n=18 keys=ad5738293eb97cbc it=3000 in=11 out=9 drained=0 regret=3fcf06f7cdb646ec sum=409320bba1d274d3"},
+	{"mixed", "Batch=4", 2, "n=18 keys=bd8af384e6395638 it=3000 in=11 out=9 drained=0 regret=3fcec2a5830ba569 sum=4093081da3966f42"},
+	{"mixed", "Batch=4", 3, "n=18 keys=6538702b388b5cd4 it=3000 in=11 out=8 drained=0 regret=3fce4e10bf276a23 sum=4092db8bce650e45"},
+	{"mixed", "GaussianPosterior", 1, "n=18 keys=5ba13224f7022318 it=3000 in=8 out=11 drained=3 regret=3fc9722ca5c54b44 sum=409111ba8767a85b"},
+	{"mixed", "GaussianPosterior", 2, "n=18 keys=ee4e1bb9fa07255c it=3000 in=7 out=7 drained=3 regret=3fc90a58230674cb sum=4090ebb474864551"},
+	{"mixed", "GaussianPosterior", 3, "n=18 keys=2c5a0de788f581c0 it=3000 in=8 out=10 drained=3 regret=3fc98359d8aad92e sum=40911804d4cb3912"},
+	{"wide", "default", 1, "n=8 keys=09cb833e6117cc5f it=2009 in=0 out=143 drained=10 regret=3fd678455248d34c sum=408fd0f97300263c"},
+	{"wide", "default", 2, "n=8 keys=09cb833e6117cc5f it=2072 in=0 out=143 drained=10 regret=3fd67afd3684aea4 sum=409069922a10e653"},
+	{"wide", "default", 3, "n=8 keys=09cb833e6117cc5f it=2088 in=0 out=142 drained=11 regret=3fd684087f2f88e6 sum=40908ea039836a20"},
+	{"wide", "ULBHoeffding", 1, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6d24471b8a0ea sum=40980347b65bcf8b"},
+	{"wide", "ULBHoeffding", 2, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6c89d3704dd9a sum=4097fc35badd25fe"},
+	{"wide", "ULBHoeffding", 3, "n=8 keys=09cb833e6117cc5f it=3000 in=0 out=0 drained=12 regret=3fd6d51ec3ecaf28 sum=4098055e9d90eff9"},
+	{"wide", "StopWhenSettled", 1, "n=8 keys=09cb833e6117cc5f it=2009 in=0 out=143 drained=10 regret=3fd678455248d34c sum=408fd0f97300263c"},
+	{"wide", "StopWhenSettled", 2, "n=8 keys=09cb833e6117cc5f it=2072 in=0 out=143 drained=10 regret=3fd67afd3684aea4 sum=409069922a10e653"},
+	{"wide", "StopWhenSettled", 3, "n=8 keys=09cb833e6117cc5f it=2088 in=0 out=142 drained=11 regret=3fd684087f2f88e6 sum=40908ea039836a20"},
+	{"wide", "Batch=4", 1, "n=8 keys=09cb833e6117cc5f it=2039 in=0 out=143 drained=10 regret=3fd68797d7781e88 sum=40902ceda8d2c789"},
+	{"wide", "Batch=4", 2, "n=8 keys=09cb833e6117cc5f it=2053 in=0 out=143 drained=10 regret=3fd6797d95f741c6 sum=4090424abc3533fe"},
+	{"wide", "Batch=4", 3, "n=8 keys=09cb833e6117cc5f it=2057 in=0 out=142 drained=11 regret=3fd6848af6e9383c sum=40904ff3b8066edb"},
+	{"wide", "GaussianPosterior", 1, "n=8 keys=09cb833e6117cc5f it=2064 in=0 out=143 drained=10 regret=3fd68a4d3c9e10fe sum=4090611095affb1d"},
+	{"wide", "GaussianPosterior", 2, "n=8 keys=09cb833e6117cc5f it=2117 in=0 out=143 drained=10 regret=3fd68b7fc362e7fe sum=4090cd5ab96a5fcc"},
+	{"wide", "GaussianPosterior", 3, "n=8 keys=09cb833e6117cc5f it=2126 in=0 out=142 drained=11 regret=3fd6914bbe5d9018 sum=4090e2a64720a34a"},
+	{"allIn", "default", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ada sum=4001cd69bc5a1890"},
+	{"allIn", "default", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa57a sum=400174559b55b72b"},
+	{"allIn", "default", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd5 sum=400176651eb0ff02"},
+	{"allIn", "ULBHoeffding", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ada sum=4001cd69bc5a1890"},
+	{"allIn", "ULBHoeffding", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa57a sum=400174559b55b72b"},
+	{"allIn", "ULBHoeffding", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd5 sum=400176651eb0ff02"},
+	{"allIn", "StopWhenSettled", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ada sum=4001cd69bc5a1890"},
+	{"allIn", "StopWhenSettled", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa57a sum=400174559b55b72b"},
+	{"allIn", "StopWhenSettled", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd5 sum=400176651eb0ff02"},
 	{"allIn", "Batch=4", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ad6 sum=4001cd69bc5a188f"},
-	{"allIn", "Batch=4", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa578 sum=400174559b55b72a"},
-	{"allIn", "Batch=4", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd3 sum=400176651eb0ff01"},
-	{"allIn", "GaussianPosterior", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ad6 sum=4001cd69bc5a188f"},
+	{"allIn", "Batch=4", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa57a sum=400174559b55b72b"},
+	{"allIn", "Batch=4", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd5 sum=400176651eb0ff02"},
+	{"allIn", "GaussianPosterior", 1, "n=6 keys=3d9c4baee9a66069 it=6 in=6 out=0 drained=0 regret=3fcefca2b0369ada sum=4001cd69bc5a1890"},
 	{"allIn", "GaussianPosterior", 2, "n=6 keys=41104c280ba85cd1 it=6 in=6 out=0 drained=0 regret=3fca79bc378fa57a sum=400174559b55b72b"},
 	{"allIn", "GaussianPosterior", 3, "n=6 keys=0562808647a95719 it=6 in=6 out=0 drained=0 regret=3fc8114b69685dd5 sum=400176651eb0ff02"},
 }
@@ -166,6 +172,28 @@ func ulbReference(cfg TMergeConfig, arms []pairState, tau, kCount int) {
 			s.prunedOut = true
 		}
 	}
+}
+
+// ulbCannotPruneScan is ulbCannotPrune as a scan over every arm, kept as
+// the oracle of the pulled-list count.
+func (a *TMerge) ulbCannotPruneScan(arms []pairState, logTau float64, kCount int) bool {
+	finite := 0
+	for i := range arms {
+		s := &arms[i]
+		if a.unbounded(s) {
+			continue
+		}
+		if finite++; finite >= kCount {
+			return false
+		}
+		if s.active() && s.count > 0 {
+			u, m := a.radius(s, logTau), s.mean()
+			if m+u == math.Inf(-1) || math.IsNaN(m-u) {
+				return false
+			}
+		}
+	}
+	return finite < kCount && len(arms)-finite > kCount
 }
 
 // referenceRadius is the confidence radius as ulbReference computed it.
@@ -267,7 +295,9 @@ func ulbArms(r *xrand.RNG, n int, kinds []armKind, cfg TMergeConfig, tau int) []
 }
 
 // TestULBMatchesReference runs ulb and ulbReference over the same random
-// and adversarial arm states and requires identical pruning decisions.
+// and adversarial arm states and requires identical pruning decisions,
+// and requires ulbCannotPrune's pulled-list count to agree with a scan
+// over every arm.
 func TestULBMatchesReference(t *testing.T) {
 	profiles := map[string][]armKind{
 		"random":  {armRandom},
@@ -295,10 +325,17 @@ func TestULBMatchesReference(t *testing.T) {
 						want := append([]pairState(nil), arms...)
 						ulbReference(cfg, want, tau, k)
 						a := NewTMerge(cfg)
-						if a.ulbCannotPrune(arms, math.Log(float64(max(tau, 2))), k) {
+						ts := newThompson(arms, nil, false)
+						logTau := math.Log(float64(max(tau, 2)))
+						cannot := a.ulbCannotPrune(arms, ts.pulled, ts.drainedAtStart, logTau, k)
+						if scan := a.ulbCannotPruneScan(arms, logTau, k); cannot != scan {
+							t.Fatalf("n=%d %s hoeffding=%v k=%d tau=%d: pulled-list count says cannot-prune=%v, full scan %v",
+								n, name, hoeffding, k, tau, cannot, scan)
+						}
+						if cannot {
 							early++
 						}
-						a.ulb(arms, tau, k)
+						a.ulb(arms, ts.pulled, ts.drainedAtStart, tau, k)
 						for i := range arms {
 							if arms[i].prunedIn != want[i].prunedIn || arms[i].prunedOut != want[i].prunedOut {
 								t.Fatalf("n=%d %s hoeffding=%v k=%d tau=%d arm %d: in/out = %v/%v, reference %v/%v",

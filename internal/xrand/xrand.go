@@ -17,11 +17,14 @@
 //     streams are pinned: changing them would change every dataset.
 //   - Gamma, and through it Beta, draws its normals from a 128-layer
 //     ziggurat (Marsaglia & Tsang 2000) that needs no logarithm on its
-//     fast path. It feeds TMerge's Thompson draws, whose acceptance
-//     rests on the paper's claims reproducing (benchrunner -exp
-//     claims), not on bit-identical streams.
+//     fast path. It feeds TMerge's Thompson draws for pairs that have
+//     been pulled, whose acceptance rests on the paper's claims
+//     reproducing (benchrunner -exp claims), not on bit-identical
+//     streams.
 //
-// Exp inverts a uniform; no hot caller draws exponentials.
+// Exp inverts a uniform. TMerge's never-pulled pairs draw through it,
+// not through Beta: one exponential (a uniform's logarithm) and one
+// Intn per order statistic of each prior group and round.
 package xrand
 
 import (
