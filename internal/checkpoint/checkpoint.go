@@ -7,7 +7,8 @@
 // binary bulk section after the JSON, under the same checksum.
 // Streaming ingestion sessions are the main user; their payload schema,
 // and its version history, live with the ingest package that writes and
-// reads it.
+// reads it. The package imports only internal/canon of the module, for
+// the header's spelling rule.
 //
 // The format guarantee is all-or-nothing: Open either yields the exact
 // payload Seal wrote or a descriptive error. A truncated file fails the
@@ -26,6 +27,8 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+
+	"github.com/tmerge/tmerge/internal/canon"
 )
 
 // Format is the envelope's format discriminator.
@@ -53,9 +56,10 @@ const Version = 7
 //
 // Seal writes the header by hand around the marshalled payload instead
 // of marshalling that struct, which would re-scan (compact) the whole
-// payload a second time; Open parses the fixed header by hand, so the
-// payload is scanned once, by the json.Unmarshal that decodes it, and
-// the bulk section is located by its declared length, not by a scan.
+// payload a second time; Open parses the fixed header with a
+// canon.Reader, so the payload is scanned once, by the json.Unmarshal
+// that decodes it, and the bulk section is located by its declared
+// length, not by a scan.
 // The checksum covers exactly the payload bytes followed by the bulk
 // bytes. It does not cover the declared length, but a wrong length moves
 // the split by whole bytes: either the byte before the section is not
@@ -67,8 +71,8 @@ const Version = 7
 const (
 	headFormat   = `{"format":`
 	headVersion  = `,"version":`
-	headChecksum = `,"checksum":"`
-	headBulk     = `","bulk":`
+	headChecksum = `,"checksum":`
+	headBulk     = `,"bulk":`
 	headPayload  = `,"payload":`
 )
 
@@ -98,18 +102,17 @@ func SealAs(format string, version int, payload any) ([]byte, error) {
 		bulk = b.AppendBulk(nil)
 	}
 	out := make([]byte, 0, len(headFormat)+len(quoted)+len(headVersion)+20+
-		len(headChecksum)+2*sha256.Size+len(headBulk)+20+len(headPayload)+len(raw)+1+len(bulk))
+		len(headChecksum)+2+2*sha256.Size+len(headBulk)+20+len(headPayload)+len(raw)+1+len(bulk))
 	out = append(out, headFormat...)
 	out = append(out, quoted...)
 	out = append(out, headVersion...)
 	out = strconv.AppendInt(out, int64(version), 10)
-	out = append(out, headChecksum...)
+	out = append(out, headChecksum+`"`...)
 	out = appendChecksum(out, raw, bulk)
+	out = append(out, '"')
 	if hasBulk {
 		out = append(out, headBulk...)
 		out = strconv.AppendInt(out, int64(len(bulk)), 10)
-	} else {
-		out = append(out, '"')
 	}
 	out = append(out, headPayload...)
 	out = append(out, raw...)
@@ -141,7 +144,7 @@ func OpenAs(data []byte, format string, version int, out any) error {
 	if env.version != version {
 		return fmt.Errorf("checkpoint: open: unsupported version %d (this build reads version %d)", env.version, version)
 	}
-	if got := appendChecksum(nil, env.payload, env.bulk); !bytes.Equal(got, env.checksum) {
+	if got := appendChecksum(nil, env.payload, env.bulk); string(got) != env.checksum {
 		return fmt.Errorf("checkpoint: open: payload checksum mismatch (got %s, recorded %s): checkpoint is corrupt", got, env.checksum)
 	}
 	b, wantBulk := out.(Bulk)
@@ -181,75 +184,59 @@ func appendChecksum(dst, payload, bulk []byte) []byte {
 type parsedEnvelope struct {
 	format   string
 	version  int
-	checksum []byte
-	payload  []byte
+	checksum string
+	// bulkLen is the declared length of the bulk section, -1 when the
+	// envelope declares none.
+	bulkLen int
+	payload []byte
 	// bulk is the bulk section, nil when the envelope declares none
 	// (and non-nil, possibly empty, when it does).
 	bulk []byte
 }
 
-// parseEnvelope splits data into the fixed header fields and the
-// payload without scanning the payload. It checks only the layout; the
-// caller verifies format, version and checksum.
+// parseHeader reads the fixed header at the start of data. The payload
+// it returns runs from the header's end to the end of data, closing
+// brace and bulk section included. It checks only the layout.
+func parseHeader(data []byte) (parsedEnvelope, error) {
+	env := parsedEnvelope{bulkLen: -1}
+	// The format is any string, quoted as json.Marshal quotes it: decode
+	// the string the header starts with and require json.Marshal's
+	// quoting of it (no "\/" for "/", say). Bytes that do not decode as
+	// a string leave the format empty, and its quoting `""` then refuses
+	// them.
+	rest, _ := bytes.CutPrefix(data, []byte(headFormat))
+	_ = json.NewDecoder(bytes.NewReader(rest)).Decode(&env.format)
+	quoted, _ := json.Marshal(env.format) // a string always marshals
+	r := canon.NewReader(data)
+	r.Lit(headFormat)
+	r.Lit(string(quoted))
+	r.Lit(headVersion)
+	env.version = r.Int()
+	r.Lit(headChecksum)
+	env.checksum = r.Str()
+	if r.Opt(headBulk) {
+		if env.bulkLen = r.Int(); env.bulkLen < 0 {
+			return env, fmt.Errorf("bulk length %d is negative", env.bulkLen)
+		}
+	}
+	r.Lit(headPayload)
+	env.payload = r.Rest()
+	return env, r.Err()
+}
+
+// parseEnvelope splits data into the fixed header fields, the payload
+// and the bulk section without scanning the payload. It checks only the
+// layout; the caller verifies format, version and checksum.
 func parseEnvelope(data []byte) (parsedEnvelope, error) {
-	var env parsedEnvelope
-	rest, ok := bytes.CutPrefix(data, []byte(headFormat))
-	if !ok {
-		return env, errors.New("no format field")
+	env, err := parseHeader(data)
+	if err != nil {
+		return env, err
 	}
-	// The format is a JSON string: find its closing quote, skipping
-	// escaped characters, let the decoder unescape it, and accept only
-	// the quoting json.Marshal writes (no "\/" for "/", say).
-	end := -1
-	if len(rest) > 0 && rest[0] == '"' {
-		for i := 1; i < len(rest); i++ {
-			if rest[i] == '\\' {
-				i++
-			} else if rest[i] == '"' {
-				end = i + 1
-				break
-			}
-		}
-	}
-	if end < 0 {
-		return env, errors.New("format is not a string")
-	}
-	if err := json.Unmarshal(rest[:end], &env.format); err != nil {
-		return env, fmt.Errorf("format: %w", err)
-	}
-	if quoted, _ := json.Marshal(env.format); !bytes.Equal(quoted, rest[:end]) {
-		return env, fmt.Errorf("format %s is not quoted as %s", rest[:end], quoted)
-	}
-	if rest, ok = bytes.CutPrefix(rest[end:], []byte(headVersion)); !ok {
-		return env, errors.New("no version field")
-	}
-	var n int
-	if env.version, n, ok = canonicalInt(rest); !ok {
-		return env, fmt.Errorf("version %q is not an integer", rest[:n])
-	}
-	if rest, ok = bytes.CutPrefix(rest[n:], []byte(headChecksum)); !ok {
-		return env, errors.New("no checksum field")
-	}
-	if len(rest) < 2*sha256.Size {
-		return env, errors.New("checksum too short")
-	}
-	env.checksum, rest = rest[:2*sha256.Size], rest[2*sha256.Size:]
-	bulkLen := -1
-	if rest, ok = bytes.CutPrefix(rest, []byte(headBulk)); ok {
-		if bulkLen, n, ok = canonicalInt(rest); !ok || bulkLen < 0 {
-			return env, fmt.Errorf("bulk length %q is not a non-negative integer", rest[:n])
-		}
-		rest = rest[n:]
-	} else if rest, ok = bytes.CutPrefix(rest, []byte{'"'}); !ok {
-		return env, errors.New("unterminated checksum")
-	}
-	if rest, ok = bytes.CutPrefix(rest, []byte(headPayload)); !ok {
-		return env, errors.New("no payload field")
-	}
+	rest := env.payload
 	brace := len(rest) - 1
-	if bulkLen >= 0 {
-		if brace -= bulkLen; brace < 0 {
-			return env, fmt.Errorf("bulk length %d exceeds the %d bytes left", bulkLen, len(rest))
+	if env.bulkLen >= 0 {
+		if brace -= env.bulkLen; brace < 0 {
+			return env, fmt.Errorf("bulk length %d exceeds the %d bytes left", env.bulkLen, len(rest))
 		}
 		env.bulk = rest[brace+1:]
 	}
@@ -260,18 +247,17 @@ func parseEnvelope(data []byte) (parsedEnvelope, error) {
 	return env, nil
 }
 
-// canonicalInt parses the integer at the start of data, accepting only
-// the spelling json.Marshal writes: no sign but '-', no leading zeros,
-// no "-0", no exponent. It returns the value, the length of the digit
-// run it looked at, and whether that run is canonical.
-func canonicalInt(data []byte) (int, int, bool) {
-	n := 0
-	if len(data) > 0 && data[0] == '-' {
-		n++
+// UnverifiedPayload returns the bytes after the header of the envelope
+// data: the payload, then whatever follows it (the closing brace and
+// any bulk section), none of it checked. Only the header's layout is
+// checked, not its format, version or checksum. It is for bytes the
+// caller has just sealed itself, when it needs the start of the payload
+// without paying for Open; bytes read back from storage may be corrupt
+// and must go through Open.
+func UnverifiedPayload(data []byte) ([]byte, error) {
+	env, err := parseHeader(data)
+	if err != nil {
+		return nil, fmt.Errorf("checkpoint: malformed envelope header: %w", err)
 	}
-	for n < len(data) && data[n] >= '0' && data[n] <= '9' {
-		n++
-	}
-	v, err := strconv.Atoi(string(data[:n]))
-	return v, n, err == nil && strconv.Itoa(v) == string(data[:n])
+	return env.payload, nil
 }

@@ -12,12 +12,15 @@ import (
 var ErrUnavailable = errors.New("device unavailable")
 
 // Unavailable is the panic value raised by the infallible Submit path of a
-// fallible device when a submission cannot be served (see Fallible). The
-// Algorithm interface has no error path — by design, selection code is
-// written against an infallible oracle — so unavailability propagates as a
-// typed panic that the window-granular callers (core.RunPipeline,
-// ingest.Ingestor) recover, falling back to degraded selection for the
-// affected window. Any other panic value passes through untouched.
+// fallible device when a submission cannot be served (see Fallible), and
+// the error TrySubmit returns for one. The window engine
+// (core.RunWindows, under core.RunPipeline and ingest.Ingestor) never
+// meets the panic: it certifies each window's submissions through
+// reid.Oracle.ReplayBatch, which calls TrySubmit, and degrades a window
+// whose replay returns this error. Apart from AsFallible's adapter,
+// which turns a decorated device's panic into its TrySubmit error,
+// nothing in the module recovers the panic: it reaches only a caller
+// that runs Select directly against a real fallible oracle.
 type Unavailable struct {
 	// Err is the underlying submission error (retry-budget exhaustion,
 	// open breaker, injected fault, ...).

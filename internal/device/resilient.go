@@ -132,9 +132,10 @@ func (c ResilientCounters) Sub(o ResilientCounters) ResilientCounters {
 // ResilientDevice wraps a fallible device with retry, exponential backoff
 // with jitter, and a circuit breaker, masking transient faults from the
 // oracle. Its TrySubmit either completes the submission or reports
-// unavailability; its Submit — the path the oracle uses — panics with
-// *Unavailable instead, which RunPipeline and the Ingestor recover at
-// window granularity by degrading to the spatial prior.
+// unavailability, and the window engine's certify step
+// (reid.Oracle.ReplayBatch) degrades a window to the spatial prior on
+// that error; its Submit panics with *Unavailable instead (see
+// Unavailable).
 //
 // ResilientDevice is safe for concurrent use; concurrent submissions are
 // serialised (the wrapped accelerator still parallelises each

@@ -2,10 +2,9 @@ package histlog
 
 import (
 	"bytes"
-	"fmt"
-	"math"
 	"strconv"
 
+	"github.com/tmerge/tmerge/internal/canon"
 	"github.com/tmerge/tmerge/internal/core"
 	"github.com/tmerge/tmerge/internal/trackdb"
 	"github.com/tmerge/tmerge/internal/video"
@@ -13,32 +12,13 @@ import (
 
 // The segment line codec. A segment line is the bytes json.Marshal
 // writes for a SegmentHeader, WindowEntry, trackdb.ViewTrack or
-// SegmentFooter: fields in declaration order under their tag names,
-// omitempty fields left out when zero, nil slices as null, floats in
-// encoding/json's shortest spelling, no whitespace. The append
-// functions write those bytes by hand, and lineReader parses exactly
-// them: another key order or spelling, whitespace, an escape, another
-// spelling of a number, or an omitempty field written out empty is
-// refused as malformed, as checkpoint's envelope parser refuses any
-// layout but its own. encoding/json is the oracle both are tested
-// against. Strings are written and read only where they need no
-// escaping (the format, the kind and the hex checksum).
-
-// appendFloat appends f as encoding/json spells a float64: the shortest
-// decimal that round-trips, in exponent form below 1e-6 and from 1e21,
-// with a one-digit negative exponent not padded. f must be finite.
-func appendFloat(dst []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-		dst[n-2] = dst[n-1]
-		dst = dst[:n-1]
-	}
-	return dst
-}
+// SegmentFooter, spelled by internal/canon's rule (nil slices as null
+// besides): the append functions write those bytes by hand through
+// canon.AppendFloat, and the read functions parse exactly them with a
+// canon.Reader, which refuses any other layout or spelling as
+// malformed. encoding/json is the oracle both are tested against.
+// Strings are written and read only where they need no escaping (the
+// format, the kind and the hex checksum).
 
 func appendInt(dst []byte, v int) []byte { return strconv.AppendInt(dst, int64(v), 10) }
 
@@ -95,9 +75,9 @@ func appendEntry(dst []byte, e *WindowEntry) []byte {
 		dst = append(dst, `,"frame":`...)
 		dst = appendInt(dst, int(x.Frame))
 		dst = append(dst, `,"cx":`...)
-		dst = appendFloat(dst, x.CX)
+		dst = canon.AppendFloat(dst, x.CX)
 		dst = append(dst, `,"cy":`...)
-		dst = appendFloat(dst, x.CY)
+		dst = canon.AppendFloat(dst, x.CY)
 		if x.Class != 0 {
 			dst = append(dst, `,"class":`...)
 			dst = appendInt(dst, int(x.Class))
@@ -169,9 +149,9 @@ func appendViewTrack(dst []byte, t *trackdb.ViewTrack) []byte {
 				dst = appendInt(dst, int(c.Class))
 			}
 			dst = append(dst, `,"cx":`...)
-			dst = appendFloat(dst, c.CX)
+			dst = canon.AppendFloat(dst, c.CX)
 			dst = append(dst, `,"cy":`...)
-			dst = appendFloat(dst, c.CY)
+			dst = canon.AppendFloat(dst, c.CY)
 			dst = append(dst, '}')
 		}
 		dst = append(dst, ']')
@@ -179,259 +159,137 @@ func appendViewTrack(dst []byte, t *trackdb.ViewTrack) []byte {
 	return append(dst, "}\n"...)
 }
 
-// lineReader parses one segment line (without its newline). The first
-// mismatch sticks: later reads return zero values, and err names the
-// byte offset and what was expected there.
-type lineReader struct {
-	b    []byte
-	size int
-	err  error
-	num  [32]byte // the canonical spelling of the float just read
-}
-
-func newLineReader(line []byte) lineReader { return lineReader{b: line, size: len(line)} }
-
-func (r *lineReader) fail(want string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("malformed line at byte %d: want %s", r.size-len(r.b), want)
-	}
-	r.b = nil
-}
-
-// lit consumes s, which must come next.
-func (r *lineReader) lit(s string) {
-	if len(r.b) < len(s) || string(r.b[:len(s)]) != s {
-		r.fail(strconv.Quote(s))
-		return
-	}
-	r.b = r.b[len(s):]
-}
-
-// opt consumes s if it comes next, and reports whether it did.
-func (r *lineReader) opt(s string) bool {
-	if len(r.b) < len(s) || string(r.b[:len(s)]) != s {
-		return false
-	}
-	r.b = r.b[len(s):]
-	return true
-}
-
-// end checks that the line is used up.
-func (r *lineReader) end() error {
-	if r.err == nil && len(r.b) > 0 {
-		r.fail("the end of the line")
-	}
-	return r.err
-}
-
-// int reads an integer in its canonical spelling: an optional '-', no
-// leading zeros, no "-0", within int64.
-func (r *lineReader) int() int {
-	b := r.b
-	i := 0
-	if len(b) > 0 && b[0] == '-' {
-		i++
-	}
-	start := i
-	var v uint64
-	for ; i < len(b) && b[i] >= '0' && b[i] <= '9' && i-start < 19; i++ {
-		v = v*10 + uint64(b[i]-'0')
-	}
-	digits, neg := i-start, start == 1
-	if digits == 0 || i < len(b) && b[i] >= '0' && b[i] <= '9' || digits > 1 && b[start] == '0' ||
-		neg && v == 0 || v > math.MaxInt64+uint64(start) {
-		r.fail("a canonical integer")
-		return 0
-	}
-	r.b = b[i:]
-	if neg {
-		return int(-int64(v-1) - 1)
-	}
-	return int(v)
-}
-
-// nonzero reads an integer that an omitempty field only writes when it
-// is not zero.
-func (r *lineReader) nonzero() int {
-	v := r.int()
-	if v == 0 && r.err == nil {
-		r.fail("a nonzero integer (a zero omitempty field is left out)")
-	}
-	return v
-}
-
-// float reads a float in encoding/json's spelling (see appendFloat).
-func (r *lineReader) float() float64 {
-	i := 0
-	for ; i < len(r.b); i++ {
-		if c := r.b[i]; (c < '0' || c > '9') && c != '-' && c != '+' && c != '.' && c != 'e' && c != 'E' {
-			break
-		}
-	}
-	tok := r.b[:i]
-	f, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil || !bytes.Equal(appendFloat(r.num[:0], f), tok) {
-		r.fail("a canonical float")
-		return 0
-	}
-	r.b = r.b[i:]
-	return f
-}
-
-// str reads a string that needs no escaping in JSON: printable ASCII
-// other than '"', '\\', '<', '>' and '&' (which json.Marshal escapes).
-func (r *lineReader) str() string {
-	if len(r.b) == 0 || r.b[0] != '"' {
-		r.fail("a string")
-		return ""
-	}
-	for i := 1; i < len(r.b); i++ {
-		switch c := r.b[i]; {
-		case c == '"':
-			s := string(r.b[1:i])
-			r.b = r.b[i+1:]
-			return s
-		case c < 0x20 || c >= 0x7f || c == '\\' || c == '<' || c == '>' || c == '&':
-			r.b = r.b[i:]
-			r.fail("a string of printable ASCII that needs no escaping")
-			return ""
-		}
-	}
-	r.fail("a closing quote")
-	return ""
-}
-
 func readHeader(line []byte, h *SegmentHeader) error {
-	r := newLineReader(line)
-	r.lit(`{"format":`)
-	h.Format = r.str()
-	r.lit(`,"version":`)
-	h.Version = r.int()
-	r.lit(`,"index":`)
-	h.Index = r.int()
-	r.lit(`,"kind":`)
-	h.Kind = r.str()
-	r.lit(`,"start_window":`)
-	h.StartWindow = r.int()
-	r.lit(`,"start_seq":`)
-	h.StartSeq = r.int()
-	r.lit(`}`)
-	return r.end()
+	r := canon.NewReader(line)
+	r.Lit(`{"format":`)
+	h.Format = r.Str()
+	r.Lit(`,"version":`)
+	h.Version = r.Int()
+	r.Lit(`,"index":`)
+	h.Index = r.Int()
+	r.Lit(`,"kind":`)
+	h.Kind = r.Str()
+	r.Lit(`,"start_window":`)
+	h.StartWindow = r.Int()
+	r.Lit(`,"start_seq":`)
+	h.StartSeq = r.Int()
+	r.Lit(`}`)
+	return r.End()
 }
 
 func readFooter(line []byte, f *SegmentFooter) error {
-	r := newLineReader(line)
-	r.lit(`{"records":`)
-	f.Records = r.int()
-	r.lit(`,"end_window":`)
-	f.EndWindow = r.int()
-	r.lit(`,"end_seq":`)
-	f.EndSeq = r.int()
-	r.lit(`,"end_frame":`)
-	f.EndFrame = video.FrameIndex(r.int())
-	r.lit(`,"checksum":`)
-	f.Checksum = r.str()
-	r.lit(`}`)
-	return r.end()
+	r := canon.NewReader(line)
+	r.Lit(`{"records":`)
+	f.Records = r.Int()
+	r.Lit(`,"end_window":`)
+	f.EndWindow = r.Int()
+	r.Lit(`,"end_seq":`)
+	f.EndSeq = r.Int()
+	r.Lit(`,"end_frame":`)
+	f.EndFrame = video.FrameIndex(r.Int())
+	r.Lit(`,"checksum":`)
+	f.Checksum = r.Str()
+	r.Lit(`}`)
+	return r.End()
 }
 
 func readEntry(line []byte, e *WindowEntry) error {
-	r := newLineReader(line)
-	r.lit(`{"window":{"Index":`)
-	e.Window.Index = r.int()
-	r.lit(`,"Start":`)
-	e.Window.Start = video.FrameIndex(r.int())
-	r.lit(`,"End":`)
-	e.Window.End = video.FrameIndex(r.int())
-	r.lit(`,"Nominal":`)
-	e.Window.Nominal = r.int()
-	r.lit(`}`)
-	if r.opt(`,"extends":[`) {
-		e.Extends = make([]Extend, 0, bytes.Count(r.b, []byte(`{"track":`)))
-		for more := true; more && r.err == nil; more = r.opt(`,`) {
+	r := canon.NewReader(line)
+	r.Lit(`{"window":{"Index":`)
+	e.Window.Index = r.Int()
+	r.Lit(`,"Start":`)
+	e.Window.Start = video.FrameIndex(r.Int())
+	r.Lit(`,"End":`)
+	e.Window.End = video.FrameIndex(r.Int())
+	r.Lit(`,"Nominal":`)
+	e.Window.Nominal = r.Int()
+	r.Lit(`}`)
+	if r.Opt(`,"extends":[`) {
+		e.Extends = make([]Extend, 0, bytes.Count(r.Rest(), []byte(`{"track":`)))
+		for more := true; more && r.Err() == nil; more = r.Opt(`,`) {
 			var x Extend
-			r.lit(`{"track":`)
-			x.Track = video.TrackID(r.int())
-			r.lit(`,"frame":`)
-			x.Frame = video.FrameIndex(r.int())
-			r.lit(`,"cx":`)
-			x.CX = r.float()
-			r.lit(`,"cy":`)
-			x.CY = r.float()
-			if r.opt(`,"class":`) {
-				x.Class = video.ClassID(r.nonzero())
+			r.Lit(`{"track":`)
+			x.Track = video.TrackID(r.Int())
+			r.Lit(`,"frame":`)
+			x.Frame = video.FrameIndex(r.Int())
+			r.Lit(`,"cx":`)
+			x.CX = r.Float()
+			r.Lit(`,"cy":`)
+			x.CY = r.Float()
+			if r.Opt(`,"class":`) {
+				x.Class = video.ClassID(r.Nonzero())
 			}
-			r.lit(`}`)
+			r.Lit(`}`)
 			e.Extends = append(e.Extends, x)
 		}
-		r.lit(`]`)
+		r.Lit(`]`)
 	}
-	if r.opt(`,"events":[`) {
-		e.Events = make([]core.MergeEvent, 0, bytes.Count(r.b, []byte(`{"seq":`)))
-		for more := true; more && r.err == nil; more = r.opt(`,`) {
+	if r.Opt(`,"events":[`) {
+		e.Events = make([]core.MergeEvent, 0, bytes.Count(r.Rest(), []byte(`{"seq":`)))
+		for more := true; more && r.Err() == nil; more = r.Opt(`,`) {
 			var ev core.MergeEvent
-			r.lit(`{"seq":`)
-			ev.Seq = r.int()
-			r.lit(`,"pair":{"A":`)
-			ev.Pair.A = video.TrackID(r.int())
-			r.lit(`,"B":`)
-			ev.Pair.B = video.TrackID(r.int())
-			r.lit(`},"from_a":`)
-			ev.FromA = video.TrackID(r.int())
-			r.lit(`,"from_b":`)
-			ev.FromB = video.TrackID(r.int())
-			r.lit(`,"canon":`)
-			ev.Canon = video.TrackID(r.int())
-			r.lit(`}`)
+			r.Lit(`{"seq":`)
+			ev.Seq = r.Int()
+			r.Lit(`,"pair":{"A":`)
+			ev.Pair.A = video.TrackID(r.Int())
+			r.Lit(`,"B":`)
+			ev.Pair.B = video.TrackID(r.Int())
+			r.Lit(`},"from_a":`)
+			ev.FromA = video.TrackID(r.Int())
+			r.Lit(`,"from_b":`)
+			ev.FromB = video.TrackID(r.Int())
+			r.Lit(`,"canon":`)
+			ev.Canon = video.TrackID(r.Int())
+			r.Lit(`}`)
 			e.Events = append(e.Events, ev)
 		}
-		r.lit(`]`)
+		r.Lit(`]`)
 	}
-	r.lit(`}`)
-	return r.end()
+	r.Lit(`}`)
+	return r.End()
 }
 
 func readViewTrack(line []byte, t *trackdb.ViewTrack) error {
-	r := newLineReader(line)
-	r.lit(`{"id":`)
-	t.ID = video.TrackID(r.int())
-	r.lit(`,"members":`)
-	if !r.opt(`null`) {
-		r.lit(`[`)
+	r := canon.NewReader(line)
+	r.Lit(`{"id":`)
+	t.ID = video.TrackID(r.Int())
+	r.Lit(`,"members":`)
+	if !r.Opt(`null`) {
+		r.Lit(`[`)
 		t.Members = []video.TrackID{}
-		if !r.opt(`]`) {
-			t.Members = make([]video.TrackID, 0, 1+bytes.Count(r.b[:max(bytes.IndexByte(r.b, ']'), 0)], []byte{','}))
-			for more := true; more && r.err == nil; more = r.opt(`,`) {
-				t.Members = append(t.Members, video.TrackID(r.int()))
+		if !r.Opt(`]`) {
+			t.Members = make([]video.TrackID, 0, 1+bytes.Count(r.Rest()[:max(bytes.IndexByte(r.Rest(), ']'), 0)], []byte{','}))
+			for more := true; more && r.Err() == nil; more = r.Opt(`,`) {
+				t.Members = append(t.Members, video.TrackID(r.Int()))
 			}
-			r.lit(`]`)
+			r.Lit(`]`)
 		}
 	}
-	r.lit(`,"cells":`)
-	if !r.opt(`null`) {
-		r.lit(`[`)
+	r.Lit(`,"cells":`)
+	if !r.Opt(`null`) {
+		r.Lit(`[`)
 		t.Cells = []trackdb.ViewCell{}
-		if !r.opt(`]`) {
-			t.Cells = make([]trackdb.ViewCell, 0, bytes.Count(r.b, []byte(`{"frame":`)))
-			for more := true; more && r.err == nil; more = r.opt(`,`) {
+		if !r.Opt(`]`) {
+			t.Cells = make([]trackdb.ViewCell, 0, bytes.Count(r.Rest(), []byte(`{"frame":`)))
+			for more := true; more && r.Err() == nil; more = r.Opt(`,`) {
 				var c trackdb.ViewCell
-				r.lit(`{"frame":`)
-				c.Frame = video.FrameIndex(r.int())
-				r.lit(`,"member":`)
-				c.Member = video.TrackID(r.int())
-				if r.opt(`,"class":`) {
-					c.Class = video.ClassID(r.nonzero())
+				r.Lit(`{"frame":`)
+				c.Frame = video.FrameIndex(r.Int())
+				r.Lit(`,"member":`)
+				c.Member = video.TrackID(r.Int())
+				if r.Opt(`,"class":`) {
+					c.Class = video.ClassID(r.Nonzero())
 				}
-				r.lit(`,"cx":`)
-				c.CX = r.float()
-				r.lit(`,"cy":`)
-				c.CY = r.float()
-				r.lit(`}`)
+				r.Lit(`,"cx":`)
+				c.CX = r.Float()
+				r.Lit(`,"cy":`)
+				c.CY = r.Float()
+				r.Lit(`}`)
 				t.Cells = append(t.Cells, c)
 			}
-			r.lit(`]`)
+			r.Lit(`]`)
 		}
 	}
-	r.lit(`}`)
-	return r.end()
+	r.Lit(`}`)
+	return r.End()
 }

@@ -15,7 +15,9 @@
 // without a valid footer was never sealed and does not exist as far as
 // replay is concerned. Raw segments hold WindowEntry records (one per
 // committed window); base segments hold trackdb.ViewTrack records (the
-// folded view state at a window boundary).
+// folded view state at a window boundary). Every line is the bytes
+// json.Marshal writes for its record, written and read by hand under
+// internal/canon's spelling rule (codec.go).
 package histlog
 
 import (

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"github.com/tmerge/tmerge/internal/trackdb"
@@ -490,8 +489,8 @@ func (l *Log) Compact() error {
 // LoadColdTrack reconstructs one canonical track's full cell set from
 // sealed segments and the active tail: the base segment's cells for
 // any member group folded there, overlaid with every journaled
-// extension of the group's members, lower member winning contested
-// frames — the LiveView dedup rule, so the result is exactly the
+// extension of the group's members, folded by trackdb.GroupCells under
+// the LiveView's contested-frame rule, so the result is exactly the
 // ViewTrack a never-evicting view would serialise for this group.
 // members must be the group's complete raw-member set (the view keeps
 // it even for cold identities).
@@ -500,13 +499,7 @@ func (l *Log) LoadColdTrack(canon video.TrackID, members []video.TrackID) (track
 	for _, m := range members {
 		want[m] = true
 	}
-	cells := make(map[video.FrameIndex]trackdb.ViewCell)
-	fold := func(c trackdb.ViewCell) {
-		if ex, held := cells[c.Frame]; held && ex.Member <= c.Member {
-			return
-		}
-		cells[c.Frame] = c
-	}
+	var g trackdb.GroupCells
 	for _, info := range l.man.Segments {
 		seg, err := l.readSegment(info)
 		if err != nil {
@@ -520,39 +513,30 @@ func (l *Log) LoadColdTrack(canon video.TrackID, members []video.TrackID) (track
 					continue
 				}
 				for _, c := range t.Cells {
-					fold(c)
+					g.Add(c)
 				}
 			}
 		case KindRaw:
 			for i := range seg.Entries {
-				foldExtends(&seg.Entries[i], want, fold)
+				addExtends(&g, &seg.Entries[i], want)
 			}
 		}
 	}
 	for i := range l.active {
-		foldExtends(&l.active[i], want, fold)
+		addExtends(&g, &l.active[i], want)
 	}
-	if len(cells) == 0 {
+	vt := g.ViewTrack(canon, members)
+	if len(vt.Cells) == 0 {
 		return trackdb.ViewTrack{}, fmt.Errorf("histlog: track %d has no cells anywhere in history", canon)
 	}
-	vt := trackdb.ViewTrack{
-		ID:      canon,
-		Members: append([]video.TrackID(nil), members...),
-		Cells:   make([]trackdb.ViewCell, 0, len(cells)),
-	}
-	for _, c := range cells {
-		vt.Cells = append(vt.Cells, c)
-	}
-	sort.Slice(vt.Cells, func(i, j int) bool { return vt.Cells[i].Frame < vt.Cells[j].Frame })
 	return vt, nil
 }
 
-// foldExtends feeds one entry's extensions of wanted members into fold.
-func foldExtends(e *WindowEntry, want map[video.TrackID]bool, fold func(trackdb.ViewCell)) {
+// addExtends adds one entry's extensions of wanted members to g.
+func addExtends(g *trackdb.GroupCells, e *WindowEntry, want map[video.TrackID]bool) {
 	for _, x := range e.Extends {
-		if !want[x.Track] {
-			continue
+		if want[x.Track] {
+			g.Add(trackdb.ViewCell{Frame: x.Frame, Member: x.Track, Class: x.Class, CX: x.CX, CY: x.CY})
 		}
-		fold(trackdb.ViewCell{Frame: x.Frame, Member: x.Track, Class: x.Class, CX: x.CX, CY: x.CY})
 	}
 }

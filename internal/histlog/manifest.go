@@ -42,6 +42,9 @@ type SegmentInfo struct {
 // reader sees either the previous complete manifest or the next one.
 // Anything not listed here — an unsealed tail, a segment file whose
 // manifest write crashed — does not exist as far as replay is concerned.
+// Segments and the manifest are written without fsync, so this holds
+// across a process crash, not a power loss or kernel crash, after which
+// a rename can reach the disk before the data it names.
 type Manifest struct {
 	// NextIndex is the index the next sealed segment will take. It only
 	// grows, surviving truncation and compaction, so segment file names

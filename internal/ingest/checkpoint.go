@@ -2,12 +2,11 @@ package ingest
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sort"
-	"strconv"
 	"time"
 
+	"github.com/tmerge/tmerge/internal/canon"
 	"github.com/tmerge/tmerge/internal/checkpoint"
 	"github.com/tmerge/tmerge/internal/core"
 	"github.com/tmerge/tmerge/internal/device"
@@ -56,17 +55,23 @@ import (
 //     bulk section (see AppendBulk): the stream hypotheses' appearance
 //     vectors and boxes with their Obs, the retired ledger, and the
 //     feature-cache vectors. The JSON keeps the structure around them.
+//     Later, next_frame moved to the front of the JSON, with the version
+//     left at 7: JSON decoding ignores key order, so either order opens
+//     the same, and stored bytes are only ever read through the verified
+//     checkpoint.Open, never through CheckpointNextFrame's positional
+//     read.
 type sessionState struct {
+	// Cursors. NextFrame comes first, so every payload starts
+	// {"next_frame":<int>, and CheckpointNextFrame reads it by position.
+	NextFrame  video.FrameIndex `json:"next_frame"`
+	NextWindow int              `json:"next_window"`
+
 	// Configuration echoes.
 	WindowLen  int     `json:"window_len"`
 	K          float64 `json:"k"`
 	Algorithm  string  `json:"algorithm"`
 	ModelInDim int     `json:"model_in_dim"`
 	ModelScale float64 `json:"model_scale"`
-
-	// Cursors.
-	NextFrame  video.FrameIndex `json:"next_frame"`
-	NextWindow int              `json:"next_window"`
 
 	// Component states. Stream holds only the unretired hypotheses;
 	// Retired is the session's ledger of retired tracks, whose boxes
@@ -288,14 +293,14 @@ func (in *Ingestor) Checkpoint() ([]byte, error) {
 // state assembles the session's checkpoint payload.
 func (in *Ingestor) state() *sessionState {
 	st := &sessionState{
+		NextFrame:  in.nextFrame,
+		NextWindow: in.nextWindow,
+
 		WindowLen:  in.cfg.WindowLen,
 		K:          in.cfg.K,
 		Algorithm:  in.cfg.Algorithm.Name(),
 		ModelInDim: in.oracle.Model().InDim,
 		ModelScale: in.oracle.Model().Scale(),
-
-		NextFrame:  in.nextFrame,
-		NextWindow: in.nextWindow,
 
 		Stream:  in.stream.State(),
 		Retired: in.retired,
@@ -333,148 +338,60 @@ func (in *Ingestor) state() *sessionState {
 		st.Subscriptions = append(st.Subscriptions, subscriptionState{Name: n, Op: in.pendingOps[n]})
 	}
 
-	// Walk the device chain from the oracle outwards, snapshotting each
-	// wrapper that carries replay-relevant state. The virtual clock is
-	// shared by the whole chain.
+	// The virtual clock is shared by the whole device chain; each
+	// wrapper on it that carries replay-relevant state is snapshotted.
 	dev := in.oracle.Device()
 	st.ClockNS = int64(dev.Clock().Elapsed())
-	for d := dev; d != nil; {
+	resilient, flaky := deviceChain(dev)
+	if resilient != nil {
+		s := resilient.ExportState()
+		st.Resilient = &s
+	}
+	if flaky != nil {
+		s := flaky.ExportState()
+		st.Flaky = &s
+	}
+	return st
+}
+
+// deviceChain walks the device chain from d outwards and returns its
+// resilient and fault-injection wrappers, nil where it has none.
+func deviceChain(d device.Device) (resilient *device.ResilientDevice, flaky *fault.Flaky) {
+	for d != nil {
 		switch v := d.(type) {
 		case *device.ResilientDevice:
-			s := v.ExportState()
-			st.Resilient = &s
+			resilient = v
 			d = v.Inner()
 		case *fault.Flaky:
-			s := v.ExportState()
-			st.Flaky = &s
+			flaky = v
 			d = v.Inner()
 		default:
 			d = nil
 		}
 	}
-	return st
+	return resilient, flaky
 }
 
 // CheckpointNextFrame reads the frame cursor, next_frame, out of
 // checkpoint bytes that Checkpoint sealed, without verifying the
-// checksum or decoding the payload: a token scan over the envelope's
-// top-level keys to its payload, then over the payload's top-level keys
-// to next_frame, which sessionState writes after five scalars. It is
-// for bytes a session has just handed its CheckpointSink. Bytes read
-// back from storage may be corrupt and must go through Restore or
-// checkpoint.Open, which verify them.
+// checksum or decoding the payload: sessionState writes next_frame
+// first, so the payload must start {"next_frame":<int>, in canon's
+// spelling. It is for bytes a session has just handed its
+// CheckpointSink. Bytes read back from storage may be corrupt and must
+// go through Restore or checkpoint.Open, which verify them.
 func CheckpointNextFrame(data []byte) (video.FrameIndex, error) {
-	payload, err := topLevelValue(data, "payload")
+	payload, err := checkpoint.UnverifiedPayload(data)
 	if err != nil {
-		return 0, fmt.Errorf("ingest: checkpoint cursor: envelope: %w", err)
+		return 0, fmt.Errorf("ingest: checkpoint cursor: %w", err)
 	}
-	v, err := topLevelValue(payload, "next_frame")
-	if err != nil {
+	r := canon.NewReader(payload)
+	r.Lit(`{"next_frame":`)
+	next := r.Int()
+	r.Lit(`,`)
+	if err := r.Err(); err != nil {
 		return 0, fmt.Errorf("ingest: checkpoint cursor: payload: %w", err)
 	}
-	next, err := strconv.ParseInt(string(v[:scalarEnd(v, 0)]), 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("ingest: checkpoint cursor: next_frame: %w", err)
-	}
 	return video.FrameIndex(next), nil
-}
-
-// topLevelValue returns the value of the key name in the JSON object
-// at the start of data, through to the end of data. The values of the
-// keys before it are skipped by bracket depth, stepping over strings,
-// so neither a nested key nor a string that spells the name matches.
-// Keys compare as written; the session schema's keys need no escapes.
-func topLevelValue(data []byte, name string) ([]byte, error) {
-	i := skipSpace(data, 0)
-	if i >= len(data) || data[i] != '{' {
-		return nil, errors.New("not a JSON object")
-	}
-	for i++; ; i++ {
-		i = skipSpace(data, i)
-		if i >= len(data) || data[i] != '"' {
-			return nil, fmt.Errorf("no %s key", name)
-		}
-		end := stringEnd(data, i)
-		if end < 0 {
-			return nil, errors.New("truncated key")
-		}
-		key := data[i+1 : end-1]
-		if i = skipSpace(data, end); i >= len(data) || data[i] != ':' {
-			return nil, errors.New("no ':' after a key")
-		}
-		i = skipSpace(data, i+1)
-		if string(key) == name {
-			return data[i:], nil
-		}
-		if i = valueEnd(data, i); i < 0 {
-			return nil, errors.New("truncated value")
-		}
-		if i = skipSpace(data, i); i >= len(data) || data[i] != ',' {
-			return nil, fmt.Errorf("no %s key", name)
-		}
-	}
-}
-
-func skipSpace(data []byte, i int) int {
-	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\n' || data[i] == '\r') {
-		i++
-	}
-	return i
-}
-
-// stringEnd returns the index just past the string whose opening quote
-// is data[i], or -1 if it is unterminated.
-func stringEnd(data []byte, i int) int {
-	for i++; i < len(data); i++ {
-		switch data[i] {
-		case '\\':
-			i++
-		case '"':
-			return i + 1
-		}
-	}
-	return -1
-}
-
-// scalarEnd returns the index just past the number or literal starting
-// at data[i].
-func scalarEnd(data []byte, i int) int {
-	for ; i < len(data); i++ {
-		switch data[i] {
-		case ',', ':', '{', '}', '[', ']', '"', ' ', '\t', '\n', '\r':
-			return i
-		}
-	}
-	return i
-}
-
-// valueEnd returns the index just past the value starting at data[i],
-// or -1 if it is truncated.
-func valueEnd(data []byte, i int) int {
-	depth := 0
-	for i < len(data) {
-		switch data[i] {
-		case '"':
-			if i = stringEnd(data, i); i < 0 {
-				return -1
-			}
-		case '{', '[':
-			depth++
-			i++
-		case '}', ']':
-			depth--
-			i++
-		default:
-			i = max(scalarEnd(data, i), i+1)
-		}
-		if depth == 0 {
-			return i
-		}
-		if depth < 0 {
-			return -1
-		}
-	}
-	return -1
 }
 
 // Restore reconstructs an ingestion session from checkpoint bytes. The
@@ -660,20 +577,7 @@ func Restore(engine *track.Engine, oracle *reid.Oracle, cfg Config, data []byte)
 
 	// Locate the device wrappers the snapshot claims. A snapshot/chain
 	// shape mismatch means the caller assembled a different pipeline.
-	var resilient *device.ResilientDevice
-	var flaky *fault.Flaky
-	for d := oracle.Device(); d != nil; {
-		switch v := d.(type) {
-		case *device.ResilientDevice:
-			resilient = v
-			d = v.Inner()
-		case *fault.Flaky:
-			flaky = v
-			d = v.Inner()
-		default:
-			d = nil
-		}
-	}
+	resilient, flaky := deviceChain(oracle.Device())
 	if (st.Resilient != nil) != (resilient != nil) {
 		return nil, fmt.Errorf("ingest: restore: checkpoint resilient-device state present=%v, pipeline has resilient device=%v",
 			st.Resilient != nil, resilient != nil)

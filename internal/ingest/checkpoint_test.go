@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strconv"
 	"testing"
 
 	"github.com/tmerge/tmerge/internal/checkpoint"
@@ -475,35 +476,52 @@ func TestCheckpointNextFrameMatchesOpen(t *testing.T) {
 	}
 }
 
-// TestCheckpointNextFrameScansTopLevel: the cursor comes from the
-// payload's own top-level key, not from a nested object or a string
-// that spells it, and malformed bytes fail instead of guessing.
-func TestCheckpointNextFrameScansTopLevel(t *testing.T) {
-	data, err := checkpoint.Seal(struct {
-		A         map[string]any   `json:"a"`
-		B         []any            `json:"b"`
-		S         string           `json:"s"`
+// TestCheckpointNextFrameReadsByPosition: the cursor is read only from
+// a payload that starts {"next_frame":<canonical int>, behind a header
+// of the layout Seal writes; anything else fails instead of guessing.
+func TestCheckpointNextFrameReadsByPosition(t *testing.T) {
+	type payload struct {
 		NextFrame video.FrameIndex `json:"next_frame"`
-	}{
-		A:         map[string]any{"next_frame": 99, "x": []any{"}", "]", map[string]any{"next_frame": 98}}},
-		B:         []any{1.5e-300, "\"next_frame\":97", nil, true},
-		S:         `\"next_frame":96`,
-		NextFrame: 7,
-	})
+		Rest      []int            `json:"rest"`
+	}
+	data, err := checkpoint.Seal(payload{NextFrame: 17, Rest: []int{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := CheckpointNextFrame(data); err != nil || got != 7 {
-		t.Fatalf("CheckpointNextFrame = %d, %v; want 7", got, err)
+	if got, err := CheckpointNextFrame(data); err != nil || got != 17 {
+		t.Fatalf("CheckpointNextFrame = %d, %v; want 17", got, err)
 	}
-	for i := 0; i < len(data); i++ {
-		if _, err := CheckpointNextFrame(data[:i]); err == nil && i < bytes.Index(data, []byte(`"next_frame":7`)) {
-			t.Fatalf("truncation at byte %d read a cursor", i)
+	end := bytes.Index(data, []byte(`"next_frame":17`)) + len(`"next_frame":17`)
+	for i := 0; i < end; i++ {
+		if got, err := CheckpointNextFrame(data[:i]); err == nil {
+			t.Errorf("truncation at byte %d of %d read cursor %d", i, end, got)
 		}
 	}
-	for _, bad := range []string{``, `[]`, `{"payload":[]}`, `{"payload":{"next_frame":"7"}}`, `{"payload":{"next_frame":1.5}}`, `{"format":"x"}`} {
-		if got, err := CheckpointNextFrame([]byte(bad)); err == nil {
-			t.Errorf("CheckpointNextFrame(%q) = %d, want an error", bad, got)
+	later, err := checkpoint.Seal(struct {
+		PrevFrame video.FrameIndex `json:"prev_frame"`
+		NextFrame video.FrameIndex `json:"next_frame"`
+	}{PrevFrame: 5, NextFrame: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string][]byte{"next_frame not first": later}
+	for _, spelling := range []string{"017", "-0", "17.0", "1.7e1", "+17", `"17"`, "", "null"} {
+		bad["next_frame "+spelling] = bytes.Replace(data, []byte(`"next_frame":17,`), []byte(`"next_frame":`+spelling+`,`), 1)
+	}
+	version := []byte(`"version":` + strconv.Itoa(checkpoint.Version))
+	for name, header := range map[string][]byte{
+		"version 0n":       bytes.Replace(data, version, []byte(`"version":0`+strconv.Itoa(checkpoint.Version)), 1),
+		"no checksum":      bytes.Replace(data, []byte(`"checksum":`), []byte(`"sum":`), 1),
+		"space":            bytes.Replace(data, []byte(`"payload":`), []byte(`"payload": `), 1),
+		"escaped /":        bytes.Replace(data, []byte(`tmerge/checkpoint`), []byte(`tmerge\/checkpoint`), 1),
+		"payload key only": []byte(`{"payload":{"next_frame":7,"x":1}}`),
+		"empty":            nil,
+	} {
+		bad["header "+name] = header
+	}
+	for name, b := range bad {
+		if got, err := CheckpointNextFrame(b); err == nil {
+			t.Errorf("%s: CheckpointNextFrame(%q) = %d, want an error", name, b, got)
 		}
 	}
 }

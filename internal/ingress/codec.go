@@ -13,6 +13,7 @@ import (
 	"unicode/utf16"
 	"unicode/utf8"
 
+	"github.com/tmerge/tmerge/internal/canon"
 	"github.com/tmerge/tmerge/internal/video"
 )
 
@@ -681,11 +682,10 @@ func appendPushRecord(b []byte, rec *PushRecord) ([]byte, error) {
 			b = append(b, `,"Frame":`...)
 			b = strconv.AppendInt(b, int64(det.Frame), 10)
 			for j, f := range [...]float64{det.Rect.X, det.Rect.Y, det.Rect.W, det.Rect.H} {
-				b = append(b, rectKeys[j]...)
-				var err error
-				if b, err = appendFloat(b, f); err != nil {
+				if err := finite(f); err != nil {
 					return b, err
 				}
+				b = canon.AppendFloat(append(b, rectKeys[j]...), f)
 			}
 			if det.Obs == nil {
 				b = append(b, `},"Obs":null`...)
@@ -695,10 +695,10 @@ func appendPushRecord(b []byte, rec *PushRecord) ([]byte, error) {
 					if j > 0 {
 						b = append(b, ',')
 					}
-					var err error
-					if b, err = appendFloat(b, f); err != nil {
+					if err := finite(f); err != nil {
 						return b, err
 					}
+					b = canon.AppendFloat(b, f)
 				}
 				b = append(b, ']')
 			}
@@ -715,24 +715,11 @@ func appendPushRecord(b []byte, rec *PushRecord) ([]byte, error) {
 
 var rectKeys = [...]string{`,"Rect":{"X":`, `,"Y":`, `,"W":`, `,"H":`}
 
-// appendFloat formats f as encoding/json does: shortest round-trip
-// digits, in 'f' notation unless |f| is below 1e-6 or at least 1e21,
-// and with a one-digit negative exponent written without its zero.
-func appendFloat(b []byte, f float64) ([]byte, error) {
+// finite returns the error json.Encoder returns for a NaN or an
+// infinity, which JSON cannot spell.
+func finite(f float64) error {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return b, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
+		return fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if format == 'e' {
-		// e-07 becomes e-7.
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b, nil
+	return nil
 }

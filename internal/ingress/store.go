@@ -66,10 +66,12 @@ func (s *MemStore) Delete(stream string) error {
 }
 
 // DirStore is the durable Store: one file per stream under a directory,
-// written atomically (temp file + rename) so a crash mid-write never
-// leaves a torn checkpoint — the previous one survives intact. Stream
-// IDs are restricted to a filename-safe alphabet; anything else is
-// rejected rather than path-interpreted.
+// written atomically (temp file + rename) so a process crash mid-write
+// never leaves a torn checkpoint — the previous one survives intact.
+// Nothing is fsynced, so that holds for a process crash, not for a power
+// loss or kernel crash, after which the rename can reach the disk before
+// the data it names. Stream IDs are restricted to a filename-safe
+// alphabet; anything else is rejected rather than path-interpreted.
 type DirStore struct {
 	dir string
 	mu  sync.Mutex // serialises writes per process; rename is the cross-process story

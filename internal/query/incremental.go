@@ -161,197 +161,129 @@ func checkState(st OperatorState, kind, params string) error {
 	return nil
 }
 
-// restoreIDSet validates single-ID rows into a set.
-func restoreIDSet(kind string, rows [][]video.TrackID) (map[video.TrackID]bool, error) {
-	have := make(map[video.TrackID]bool, len(rows))
-	for _, row := range rows {
-		if len(row) != 1 {
-			return nil, fmt.Errorf("query: %s state row has %d ids, want 1", kind, len(row))
-		}
-		if have[row[0]] {
-			return nil, fmt.Errorf("query: %s state has duplicate id %d", kind, row[0])
-		}
-		have[row[0]] = true
-	}
-	return have, nil
+// idSet is the operator IncCount and IncRegion share: the set of
+// canonical identities that satisfy a per-identity predicate, re-checked
+// for every changed identity and dropped for every removed one.
+type idSet struct {
+	kind   string
+	params string // the query's parameter echo
+	qual   func(v TrackView, id video.TrackID) bool
+	have   map[video.TrackID]bool
+	stats  OpStats
 }
 
-// idSetRows returns a set's members as sorted single-ID rows.
-func idSetRows(have map[video.TrackID]bool) [][]video.TrackID {
-	ids := make([]video.TrackID, 0, len(have))
-	for id := range have {
+func newIDSet(kind string, q any, qual func(TrackView, video.TrackID) bool) idSet {
+	return idSet{kind: kind, params: fmt.Sprintf("%+v", q), qual: qual, have: make(map[video.TrackID]bool)}
+}
+
+// Kind implements Incremental.
+func (o *idSet) Kind() string { return o.kind }
+
+// Apply implements Incremental.
+func (o *idSet) Apply(v TrackView, changed, removed []video.TrackID) []Delta {
+	var retracts, asserts [][]video.TrackID
+	for _, id := range removed {
+		if o.have[id] {
+			delete(o.have, id)
+			retracts = append(retracts, []video.TrackID{id})
+		}
+	}
+	for _, id := range changed {
+		o.stats.Scanned++
+		qual := o.qual(v, id)
+		switch {
+		case qual && !o.have[id]:
+			o.have[id] = true
+			asserts = append(asserts, []video.TrackID{id})
+		case !qual && o.have[id]:
+			delete(o.have, id)
+			retracts = append(retracts, []video.TrackID{id})
+		}
+	}
+	return emit(&o.stats, retracts, asserts)
+}
+
+// Count returns the current answer cardinality without allocating.
+func (o *idSet) Count() int { return len(o.have) }
+
+// Answer returns the current answer IDs, sorted — the incremental
+// counterpart of the query's batch Answer.
+func (o *idSet) Answer() []video.TrackID {
+	ids := make([]video.TrackID, 0, len(o.have))
+	for id := range o.have {
 		ids = append(ids, id)
 	}
 	video.SortTrackIDs(ids)
+	return ids
+}
+
+// Results implements Incremental: the answer as sorted single-ID rows.
+func (o *idSet) Results() [][]video.TrackID {
+	ids := o.Answer()
 	out := make([][]video.TrackID, len(ids))
-	for i, id := range ids {
-		out[i] = []video.TrackID{id}
+	for i := range ids {
+		out[i] = ids[i : i+1 : i+1]
 	}
 	return out
 }
 
-// IncCount is the incremental CountQuery operator: it maintains the set
-// of canonical identities whose presence span reaches MinFrames. Spans
-// only grow under extensions and merges, so a counted identity is only
-// ever retracted when a merge coalesces it into another (the view
-// removes it); the symmetric re-check keeps the operator honest anyway.
-type IncCount struct {
-	q     CountQuery
-	have  map[video.TrackID]bool
-	stats OpStats
-}
-
-// NewIncCount returns an empty incremental operator for q.
-func NewIncCount(q CountQuery) *IncCount {
-	return &IncCount{q: q, have: make(map[video.TrackID]bool)}
-}
-
-// Kind returns "count".
-func (o *IncCount) Kind() string { return "count" }
-
-// Apply implements Incremental.
-func (o *IncCount) Apply(v TrackView, changed, removed []video.TrackID) []Delta {
-	var retracts, asserts [][]video.TrackID
-	for _, id := range removed {
-		if o.have[id] {
-			delete(o.have, id)
-			retracts = append(retracts, []video.TrackID{id})
-		}
-	}
-	for _, id := range changed {
-		o.stats.Scanned++
-		span, live := spanOf(v, id)
-		qual := live && span >= o.q.MinFrames
-		switch {
-		case qual && !o.have[id]:
-			o.have[id] = true
-			asserts = append(asserts, []video.TrackID{id})
-		case !qual && o.have[id]:
-			delete(o.have, id)
-			retracts = append(retracts, []video.TrackID{id})
-		}
-	}
-	return emit(&o.stats, retracts, asserts)
-}
-
-// Count returns the current answer cardinality without allocating.
-func (o *IncCount) Count() int { return len(o.have) }
-
-// Answer returns the current answer IDs, sorted — the incremental
-// counterpart of CountQuery.Answer.
-func (o *IncCount) Answer() []video.TrackID {
-	ids := make([]video.TrackID, 0, len(o.have))
-	for id := range o.have {
-		ids = append(ids, id)
-	}
-	video.SortTrackIDs(ids)
-	return ids
-}
-
-// Results implements Incremental.
-func (o *IncCount) Results() [][]video.TrackID { return idSetRows(o.have) }
-
 // Stats implements Incremental.
-func (o *IncCount) Stats() OpStats { return o.stats }
+func (o *idSet) Stats() OpStats { return o.stats }
 
 // State implements Incremental.
-func (o *IncCount) State() OperatorState {
-	return OperatorState{Kind: o.Kind(), Params: fmt.Sprintf("%+v", o.q), Result: o.Results(), Stats: o.stats}
+func (o *idSet) State() OperatorState {
+	return OperatorState{Kind: o.kind, Params: o.params, Result: o.Results(), Stats: o.stats}
 }
 
 // RestoreState implements Incremental.
-func (o *IncCount) RestoreState(st OperatorState) error {
-	if err := checkState(st, o.Kind(), fmt.Sprintf("%+v", o.q)); err != nil {
+func (o *idSet) RestoreState(st OperatorState) error {
+	if err := checkState(st, o.kind, o.params); err != nil {
 		return err
 	}
-	have, err := restoreIDSet(o.Kind(), st.Result)
-	if err != nil {
-		return err
+	have := make(map[video.TrackID]bool, len(st.Result))
+	for _, row := range st.Result {
+		if len(row) != 1 {
+			return fmt.Errorf("query: %s state row has %d ids, want 1", o.kind, len(row))
+		}
+		if have[row[0]] {
+			return fmt.Errorf("query: %s state has duplicate id %d", o.kind, row[0])
+		}
+		have[row[0]] = true
 	}
 	o.have, o.stats = have, st.Stats
 	return nil
 }
 
-// IncRegion is the incremental RegionQuery operator: the set of
-// canonical identities with at least MinFrames deduplicated boxes
+// IncCount is the incremental CountQuery operator ("count"): it
+// maintains the set of canonical identities whose presence span reaches
+// MinFrames. Spans only grow under extensions and merges, so a counted
+// identity is only ever retracted when a merge coalesces it into
+// another (the view removes it); the symmetric re-check keeps the
+// operator honest anyway.
+type IncCount struct{ idSet }
+
+// NewIncCount returns an empty incremental operator for q.
+func NewIncCount(q CountQuery) *IncCount {
+	return &IncCount{newIDSet("count", q, func(v TrackView, id video.TrackID) bool {
+		span, live := spanOf(v, id)
+		return live && span >= q.MinFrames
+	})}
+}
+
+// IncRegion is the incremental RegionQuery operator ("region"): the set
+// of canonical identities with at least MinFrames deduplicated boxes
 // centered inside the region. Unlike spans, dwell can shrink — a merge
 // can replace a frame's counted box with a lower-ID member's box whose
 // center lies outside — so both directions of the predicate flip are
 // live paths, not just removals.
-type IncRegion struct {
-	q     RegionQuery
-	have  map[video.TrackID]bool
-	stats OpStats
-}
+type IncRegion struct{ idSet }
 
 // NewIncRegion returns an empty incremental operator for q.
 func NewIncRegion(q RegionQuery) *IncRegion {
-	return &IncRegion{q: q, have: make(map[video.TrackID]bool)}
-}
-
-// Kind returns "region".
-func (o *IncRegion) Kind() string { return "region" }
-
-// Apply implements Incremental.
-func (o *IncRegion) Apply(v TrackView, changed, removed []video.TrackID) []Delta {
-	var retracts, asserts [][]video.TrackID
-	for _, id := range removed {
-		if o.have[id] {
-			delete(o.have, id)
-			retracts = append(retracts, []video.TrackID{id})
-		}
-	}
-	for _, id := range changed {
-		o.stats.Scanned++
+	return &IncRegion{newIDSet("region", q, func(v TrackView, id video.TrackID) bool {
 		_, _, live := v.Interval(id)
-		qual := live && v.Dwell(id, o.q.Region) >= o.q.MinFrames
-		switch {
-		case qual && !o.have[id]:
-			o.have[id] = true
-			asserts = append(asserts, []video.TrackID{id})
-		case !qual && o.have[id]:
-			delete(o.have, id)
-			retracts = append(retracts, []video.TrackID{id})
-		}
-	}
-	return emit(&o.stats, retracts, asserts)
-}
-
-// Count returns the current answer cardinality without allocating.
-func (o *IncRegion) Count() int { return len(o.have) }
-
-// Answer returns the current answer IDs, sorted.
-func (o *IncRegion) Answer() []video.TrackID {
-	ids := make([]video.TrackID, 0, len(o.have))
-	for id := range o.have {
-		ids = append(ids, id)
-	}
-	video.SortTrackIDs(ids)
-	return ids
-}
-
-// Results implements Incremental.
-func (o *IncRegion) Results() [][]video.TrackID { return idSetRows(o.have) }
-
-// Stats implements Incremental.
-func (o *IncRegion) Stats() OpStats { return o.stats }
-
-// State implements Incremental.
-func (o *IncRegion) State() OperatorState {
-	return OperatorState{Kind: o.Kind(), Params: fmt.Sprintf("%+v", o.q), Result: o.Results(), Stats: o.stats}
-}
-
-// RestoreState implements Incremental.
-func (o *IncRegion) RestoreState(st OperatorState) error {
-	if err := checkState(st, o.Kind(), fmt.Sprintf("%+v", o.q)); err != nil {
-		return err
-	}
-	have, err := restoreIDSet(o.Kind(), st.Result)
-	if err != nil {
-		return err
-	}
-	o.have, o.stats = have, st.Stats
-	return nil
+		return live && v.Dwell(id, q.Region) >= q.MinFrames
+	})}
 }
 
 // IncCoOccur is the incremental CoOccurQuery operator. Per update it

@@ -172,27 +172,53 @@ func (v *LiveView) ExtendCell(id video.TrackID, frame video.FrameIndex, class vi
 		v.tracks[c] = t
 		v.idsOK = false
 	}
-	cell := viewCell{member: id, class: class, cx: cx, cy: cy}
-	if ex, held := t.cells[frame]; held {
-		if cell.member >= ex.member {
-			return nil // the held box wins the frame; nothing changed
+	if !t.put(frame, viewCell{member: id, class: class, cx: cx, cy: cy}) {
+		return nil // the held box wins the frame; nothing changed
+	}
+	t.start, t.end = min(t.start, frame), max(t.end, frame)
+	v.dirty[c] = true
+	return nil
+}
+
+// put stores c as frame f's cell unless the box already there wins: of
+// two members' boxes at one frame, the lower member's box wins, the
+// rule core.Merger.Apply applies to full boxes. It keeps the class
+// tally (not the interval) and reports whether the cell changed.
+func (t *liveTrack) put(f video.FrameIndex, c viewCell) bool {
+	if ex, held := t.cells[f]; held {
+		if c.member >= ex.member {
+			return false
 		}
 		t.classes[ex.class]--
 		if t.classes[ex.class] == 0 {
 			delete(t.classes, ex.class)
 		}
-	} else {
-		if frame < t.start {
-			t.start = frame
-		}
-		if frame > t.end {
-			t.end = frame
-		}
 	}
-	t.cells[frame] = cell
-	t.classes[cell.class]++
-	v.dirty[c] = true
-	return nil
+	t.cells[f] = c
+	t.classes[c.class]++
+	return true
+}
+
+// GroupCells folds one canonical group's cells, fed from any number of
+// sources in any order, under the view's contested-frame rule (see
+// ExtendCell): a cold store builds with it the ViewTrack a
+// never-evicting view would hold for the group. The zero value is an
+// empty group.
+type GroupCells struct{ t liveTrack }
+
+// Add folds one member's cell in.
+func (g *GroupCells) Add(c ViewCell) {
+	if g.t.cells == nil {
+		g.t.cells = make(map[video.FrameIndex]viewCell)
+		g.t.classes = make(map[video.ClassID]int)
+	}
+	g.t.put(c.Frame, viewCell{member: c.Member, class: c.Class, cx: c.CX, cy: c.CY})
+}
+
+// ViewTrack returns the group as canonical track canon with raw members
+// members (copied), its cells sorted by frame.
+func (g *GroupCells) ViewTrack(canon video.TrackID, members []video.TrackID) ViewTrack {
+	return ViewTrack{ID: canon, Members: append([]video.TrackID(nil), members...), Cells: sortedCells(g.t.cells)}
 }
 
 // ApplyEvent folds one merger union into the view: the losing group's
@@ -226,17 +252,7 @@ func (v *LiveView) ApplyEvent(ev core.MergeEvent) error {
 		return fmt.Errorf("trackdb: merge event %d joins groups %d and %d, but the view has not seen both", ev.Seq, ev.Canon, loseID)
 	}
 	for f, cl := range lose.cells {
-		if ex, held := keep.cells[f]; held {
-			if cl.member >= ex.member {
-				continue
-			}
-			keep.classes[ex.class]--
-			if keep.classes[ex.class] == 0 {
-				delete(keep.classes, ex.class)
-			}
-		}
-		keep.cells[f] = cl
-		keep.classes[cl.class]++
+		keep.put(f, cl)
 	}
 	if lose.start < keep.start {
 		keep.start = lose.start
@@ -567,14 +583,19 @@ func (v *LiveView) State() ViewState {
 		if t == nil {
 			continue
 		}
-		vt := ViewTrack{ID: id, Members: append([]video.TrackID(nil), t.members...)}
-		for f, cl := range t.cells {
-			vt.Cells = append(vt.Cells, ViewCell{Frame: f, Member: cl.member, Class: cl.class, CX: cl.cx, CY: cl.cy})
-		}
-		sort.Slice(vt.Cells, func(i, j int) bool { return vt.Cells[i].Frame < vt.Cells[j].Frame })
-		st.Tracks = append(st.Tracks, vt)
+		st.Tracks = append(st.Tracks, ViewTrack{ID: id, Members: append([]video.TrackID(nil), t.members...), Cells: sortedCells(t.cells)})
 	}
 	return st
+}
+
+// sortedCells returns cells serialised and sorted by frame.
+func sortedCells(cells map[video.FrameIndex]viewCell) []ViewCell {
+	out := make([]ViewCell, 0, len(cells))
+	for f, cl := range cells {
+		out = append(out, ViewCell{Frame: f, Member: cl.member, Class: cl.class, CX: cl.cx, CY: cl.cy})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Frame < out[j].Frame })
+	return out
 }
 
 // RestoreView reconstructs a fully hot LiveView from a snapshot taken by
