@@ -38,9 +38,13 @@
 //
 // -bench runs the pinned parallel-executor benchmark instead of the
 // experiments: the same pass at Workers ∈ {1, 2, 4}, written as NDJSON
-// rows (-bench-out). With -compare it enforces the CI gate — any
-// fingerprint mismatch between worker counts or against the baseline,
-// or a virtual-FPS regression beyond -max-regression, exits nonzero.
+// rows (-bench-out). The worker counts run in alternation, three rounds
+// of each, and a row's wall time and speedup are medians over the
+// rounds (each round's speedup taken within that round), so a burst of
+// other load on the machine moves one round, not the gate. With
+// -compare it enforces the CI gate — any fingerprint mismatch between
+// worker counts, rounds or against the baseline, or a virtual-FPS
+// regression beyond -max-regression, exits nonzero.
 // -min-speedup additionally requires the measured wall-clock speedup of
 // the highest worker count over Workers=1, and -min-speedup-2w puts a
 // floor (strictly above) under the Workers=2 row; either is skipped when
@@ -316,7 +320,7 @@ func runBenchGate(s *bench.Suite, videosSet bool, out, comparePath, trendOut str
 		cfg.Videos = s.VideosPerDataset
 	}
 	cfg.Clock = time.Now
-	rows := s.ParallelBench(os.Stdout, cfg)
+	rows, fails := s.ParallelBench(os.Stdout, cfg)
 
 	var baseline []bench.ParallelBenchResult
 	if comparePath != "" {
@@ -333,7 +337,7 @@ func runBenchGate(s *bench.Suite, videosSet bool, out, comparePath, trendOut str
 		}
 	}
 
-	fails := bench.CheckParallelBench(rows, baseline, maxRegress)
+	fails = append(fails, bench.CheckParallelBench(rows, baseline, maxRegress)...)
 	var statuses []bench.GateStatus
 
 	// speedupGate applies one wall-speedup floor to the given row,
@@ -359,10 +363,10 @@ func runBenchGate(s *bench.Suite, videosSet bool, out, comparePath, trendOut str
 			fmt.Printf("benchrunner: gate %s SKIPPED: %s\n", gate, st.Reason)
 		case failed:
 			st.Status = bench.GateFailed
-			st.Reason = fmt.Sprintf("%.2fx wall speedup at %d workers, gate requires %.1fx", row.WallSpeedup, row.Workers, floor)
+			st.Reason = fmt.Sprintf("%.2fx median wall speedup at %d workers, gate requires %.1fx", row.WallSpeedup, row.Workers, floor)
 			fails = append(fails, "speedup: "+st.Reason)
 		default:
-			st.Reason = fmt.Sprintf("%.2fx wall speedup at %d workers (floor %.1fx)", row.WallSpeedup, row.Workers, floor)
+			st.Reason = fmt.Sprintf("%.2fx median wall speedup at %d workers (floor %.1fx)", row.WallSpeedup, row.Workers, floor)
 		}
 		statuses = append(statuses, st)
 	}

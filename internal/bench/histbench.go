@@ -379,9 +379,12 @@ func heapGate(cfg *HistBenchConfig, row *HistBenchRow, heapBase, heapEnd uint64)
 func runAsOfProbes(cfg *HistBenchConfig, row *HistBenchRow, log *histlog.Log, tier *trackdb.LiveView) error {
 	q := histCountQuery(cfg)
 	end := log.EndFrame()
+	// Probes start at the retention boundary, or, on a log that never
+	// compacted, at the first window's end: a cut before it holds no
+	// window.
 	lo := log.RetentionFrame()
 	if lo < 0 {
-		lo = 0
+		lo = video.FrameIndex(cfg.WindowLen - 1)
 	}
 	var cuts []video.FrameIndex
 	for i := 0; i < cfg.AsOfProbes; i++ {

@@ -82,6 +82,29 @@ func TestHistBenchSmall(t *testing.T) {
 	}
 }
 
+// TestHistBenchNeverCompacting runs a config whose log never compacts,
+// so it has no retention boundary: the AsOf probes start at the first
+// window's end and the run completes with a matching final cut.
+func TestHistBenchNeverCompacting(t *testing.T) {
+	cfg := smallHistBench("")
+	cfg.Dir = t.TempDir()
+	cfg.CompactEvery = 0
+	row, statuses, err := HistBench(io.Discard, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fails := CheckHistBench([]HistBenchRow{row}, statuses, cfg.CompactEvery); len(fails) > 0 {
+		t.Fatalf("check failed: %v", fails)
+	}
+	if !row.Match || row.Compactions != 0 || row.RetentionFrame >= 0 {
+		t.Fatalf("match %v, %d compactions, retention frame %d: want a match on an uncompacted log",
+			row.Match, row.Compactions, row.RetentionFrame)
+	}
+	if row.AsOfProbes != cfg.AsOfProbes || row.AsOfRows == 0 {
+		t.Fatalf("%d probes answered %d rows, want %d probes with rows", row.AsOfProbes, row.AsOfRows, cfg.AsOfProbes)
+	}
+}
+
 // TestHistBenchDeterministic pins that two runs of the same
 // configuration produce identical structural rows (wall fields excluded
 // by construction: no Clock is injected).

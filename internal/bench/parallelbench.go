@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -61,6 +62,12 @@ func DefaultParallelBench() ParallelBenchConfig {
 		WorkerCounts: []int{1, 2, 4},
 	}
 }
+
+// parallelBenchRounds is how many times ParallelBench runs every worker
+// count, the counts alternating within each round. The wall fields are
+// medians over the rounds, so one round slowed by other load on the
+// machine does not decide a speedup gate.
+const parallelBenchRounds = 3
 
 // ParallelBenchResult is one row of the parallel benchmark — the
 // line-delimited JSON shape persisted as BENCH_baseline.json /
@@ -174,18 +181,68 @@ func (s *Suite) RunParallelBench(cfg ParallelBenchConfig) []ParallelBenchResult 
 	return out
 }
 
-// ParallelBench runs RunParallelBench and prints the human table.
-func (s *Suite) ParallelBench(w io.Writer, cfg ParallelBenchConfig) []ParallelBenchResult {
-	rows := s.RunParallelBench(cfg)
-	fmt.Fprintf(w, "Parallel window executor — %s, %d video(s), L=%d\n",
-		cfg.Dataset, len(s.Dataset(cfg.Dataset).Videos), rows[0].WindowLen)
+// ParallelBench runs RunParallelBench parallelBenchRounds times, merges
+// the rounds with MedianParallelBench, and prints the human table. It
+// returns the merged rows and any round whose fingerprints diverged.
+func (s *Suite) ParallelBench(w io.Writer, cfg ParallelBenchConfig) ([]ParallelBenchResult, []string) {
+	rounds := make([][]ParallelBenchResult, parallelBenchRounds)
+	for i := range rounds {
+		rounds[i] = s.RunParallelBench(cfg)
+	}
+	rows, fails := MedianParallelBench(rounds)
+	fmt.Fprintf(w, "Parallel window executor — %s, %d video(s), L=%d, wall medians of %d rounds\n",
+		cfg.Dataset, len(s.Dataset(cfg.Dataset).Videos), rows[0].WindowLen, len(rounds))
 	fmt.Fprintf(w, "%-8s %10s %10s %12s %10s %10s  %s\n",
 		"workers", "REC", "FPS(virt)", "virtual(ms)", "wall(ms)", "speedup", "fingerprint")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-8d %10.4f %10.1f %12.1f %10.1f %10.2f  %s\n",
 			r.Workers, r.REC, r.FPS, r.VirtualMS, r.WallMS, r.WallSpeedup, r.Fingerprint[:12])
 	}
-	return rows
+	for i, r := range rows[1:] {
+		fmt.Fprintf(w, "speedup at %d workers by round:", r.Workers)
+		for _, round := range rounds {
+			fmt.Fprintf(w, " %.2f", round[i+1].WallSpeedup)
+		}
+		fmt.Fprintln(w)
+	}
+	return rows, fails
+}
+
+// MedianParallelBench merges rounds of RunParallelBench rows, each
+// round holding the same worker counts in the same order. The result is
+// the first round's rows with WallMS the median of the rounds' WallMS
+// and WallSpeedup the median of the rounds' own speedups: each round's
+// arms ran back to back, so its ratio is taken under one load. A row
+// whose fingerprint differs from the first round's is a failure.
+func MedianParallelBench(rounds [][]ParallelBenchResult) ([]ParallelBenchResult, []string) {
+	rows := append([]ParallelBenchResult(nil), rounds[0]...)
+	var fails []string
+	wall := make([]float64, len(rounds))
+	speedup := make([]float64, len(rounds))
+	for i := range rows {
+		for k, round := range rounds {
+			r := round[i]
+			if r.Workers != rows[i].Workers || r.Fingerprint != rows[i].Fingerprint {
+				fails = append(fails, fmt.Sprintf(
+					"determinism: round %d Workers=%d fingerprint %.12s differs from round 0 Workers=%d fingerprint %.12s",
+					k, r.Workers, r.Fingerprint, rows[i].Workers, rows[i].Fingerprint))
+			}
+			wall[k], speedup[k] = r.WallMS, r.WallSpeedup
+		}
+		rows[i].WallMS, rows[i].WallSpeedup = median(wall), median(speedup)
+	}
+	return rows, fails
+}
+
+// median returns the median of xs, reordering them: the middle value,
+// or the mean of the two middle ones.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // WriteParallelBench writes rows as line-delimited JSON, one object per

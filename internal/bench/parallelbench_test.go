@@ -121,3 +121,36 @@ func TestCheckParallelBenchBaselineGate(t *testing.T) {
 		t.Fatalf("want a missing-baseline-row failure, got %v", fails)
 	}
 }
+
+// TestMedianParallelBench pins how rounds merge: each row's wall time
+// is the median over the rounds, its speedup the median of the rounds'
+// own speedups, so one round slowed by other load does not fail a
+// floor; and a fingerprint that moves between rounds is a failure.
+func TestMedianParallelBench(t *testing.T) {
+	round := func(w1, w2 float64) []ParallelBenchResult {
+		a, b := benchRow(1, 650, "aaa"), benchRow(2, 650, "aaa")
+		a.WallMS, a.WallSpeedup = w1, 1
+		b.WallMS, b.WallSpeedup = w2, w1/w2
+		return []ParallelBenchResult{a, b}
+	}
+	// The second round ran Workers=2 under load: 0.75x on its own.
+	rounds := [][]ParallelBenchResult{round(500, 280), round(520, 693.33), round(1000, 550)}
+	rows, fails := MedianParallelBench(rounds)
+	if len(fails) != 0 {
+		t.Fatalf("clean rounds flagged: %v", fails)
+	}
+	if rows[0].WallMS != 520 || rows[1].WallMS != 550 {
+		t.Fatalf("median walls %v, %v; want 520, 550", rows[0].WallMS, rows[1].WallMS)
+	}
+	if want := 500.0 / 280; rows[1].WallSpeedup != want || rows[0].WallSpeedup != 1 {
+		t.Fatalf("median speedups %v, %v; want 1, %v (the median of the rounds' ratios)", rows[0].WallSpeedup, rows[1].WallSpeedup, want)
+	}
+	if rounds[0][1].WallMS != 280 {
+		t.Fatal("merging rewrote the first round's rows")
+	}
+
+	rounds[2][1].Fingerprint = "bbb"
+	if _, fails := MedianParallelBench(rounds); len(fails) != 1 || !strings.Contains(fails[0], "round 2 Workers=2") {
+		t.Fatalf("want one determinism failure naming round 2, got %v", fails)
+	}
+}

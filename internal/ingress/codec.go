@@ -2,6 +2,8 @@ package ingress
 
 import (
 	"bytes"
+	"encoding/base64"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -20,10 +22,13 @@ import (
 // The push codec is written by hand for the one fixed shape it carries:
 // a PushRecord, its video.BBoxes (untagged, so keyed by Go field name),
 // their geom.Rect and their Obs vector. DESIGN.md §13 gives the grammar.
-// The decoder accepts a subset of what encoding/json.Unmarshal accepts
-// into a PushRecord and yields the same record for it; the encoder
-// writes the bytes json.Encoder writes. wire_test.go holds encoding/json
-// as the oracle for both.
+// Obs has two spellings: an array of numbers, or a string of base64
+// float64 bits, which is what the encoder writes. The decoder accepts a
+// subset of what encoding/json.Unmarshal accepts into a mirror of
+// PushRecord whose Obs takes either spelling, and yields the same
+// record for it; the encoder writes the bytes json.Encoder writes for
+// that mirror with Obs as []byte. wire_test.go holds encoding/json as
+// the oracle for both.
 
 // maxNestingDepth is encoding/json's nesting bound: a value nested
 // deeper than this, counting the record's own object, is refused.
@@ -65,6 +70,7 @@ type pushDecoder struct {
 	empties          int
 	dets             []video.BBox
 	obs              []float64
+	bits             []byte // a base64 Obs, decoded
 	key              []byte // the last escaped string, unescaped
 	data             []byte // the line being parsed
 	pos              int
@@ -404,11 +410,15 @@ func (d *pushDecoder) rect(b *video.BBox) error {
 	}
 }
 
-// observation parses a non-null Obs array: [] yields an empty, non-nil
-// vector.
+// observation parses a non-null Obs, an array or a base64 string: []
+// and "" yield an empty, non-nil vector.
 func (d *pushDecoder) observation() ([]float64, error) {
-	if d.ws() != '[' {
-		return nil, d.fail("Obs is not an array")
+	switch d.ws() {
+	case '"':
+		return d.observationBits()
+	case '[':
+	default:
+		return nil, d.fail("Obs is not an array or a base64 string")
 	}
 	d.pos++
 	d.obs = d.obs[:0]
@@ -430,6 +440,43 @@ func (d *pushDecoder) observation() ([]float64, error) {
 	copy(out, d.obs)
 	return out, nil
 }
+
+// observationBits parses an Obs string: standard padded base64 of the
+// components' IEEE-754 bits, 8 bytes each, little-endian. It decodes as
+// encoding/json decodes a []byte (so an escaped \r or \n in the text is
+// skipped), and refuses a length that is not a multiple of 8 and a NaN
+// or infinite component, as an array refuses 1e999.
+func (d *pushDecoder) observationBits() ([]float64, error) {
+	start := d.pos
+	text, err := d.str()
+	if err != nil {
+		return nil, err
+	}
+	m := base64.StdEncoding.DecodedLen(len(text))
+	d.bits = slices.Grow(d.bits[:0], m)[:m]
+	n, err := base64.StdEncoding.Decode(d.bits, text)
+	if err != nil {
+		d.pos = start
+		return nil, d.fail("Obs is not valid base64")
+	}
+	if n%8 != 0 {
+		d.pos = start
+		return nil, d.fail(fmt.Sprintf("Obs holds %d bytes, not whole float64s", n))
+	}
+	out := make([]float64, n/8)
+	for i := range out {
+		u := binary.LittleEndian.Uint64(d.bits[8*i:])
+		if u&expMask == expMask {
+			d.pos = start
+			return nil, d.fail(fmt.Sprintf("Obs component %d is not finite", i))
+		}
+		out[i] = math.Float64frombits(u)
+	}
+	return out, nil
+}
+
+// expMask is a float64's exponent field, all ones for NaN and ±Inf.
+const expMask = 0x7ff << 52
 
 // number consumes a number matching JSON's grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its text.
@@ -690,17 +737,11 @@ func appendPushRecord(b []byte, rec *PushRecord) ([]byte, error) {
 			if det.Obs == nil {
 				b = append(b, `},"Obs":null`...)
 			} else {
-				b = append(b, `},"Obs":[`...)
-				for j, f := range det.Obs {
-					if j > 0 {
-						b = append(b, ',')
-					}
-					if err := finite(f); err != nil {
-						return b, err
-					}
-					b = canon.AppendFloat(b, f)
+				var err error
+				if b, err = appendObservation(append(b, `},"Obs":"`...), det.Obs); err != nil {
+					return b, err
 				}
-				b = append(b, ']')
+				b = append(b, '"')
 			}
 			b = append(b, `,"Class":`...)
 			b = strconv.AppendInt(b, int64(det.Class), 10)
@@ -714,6 +755,30 @@ func appendPushRecord(b []byte, rec *PushRecord) ([]byte, error) {
 }
 
 var rectKeys = [...]string{`,"Rect":{"X":`, `,"Y":`, `,"W":`, `,"H":`}
+
+// obsChunk is how many components appendObservation encodes at a time:
+// 384 bytes, a multiple of 3, so each whole chunk encodes to base64
+// without padding and the chunks concatenate into one text.
+const obsChunk = 48
+
+// appendObservation appends obs's base64 text, what json.Encoder writes
+// for its bits as a []byte (see observationBits). A non-finite
+// component fails as finite does.
+func appendObservation(b []byte, obs []float64) ([]byte, error) {
+	var chunk [8 * obsChunk]byte
+	for len(obs) > 0 {
+		n := min(len(obs), obsChunk)
+		for i, f := range obs[:n] {
+			if err := finite(f); err != nil {
+				return b, err
+			}
+			binary.LittleEndian.PutUint64(chunk[8*i:], math.Float64bits(f))
+		}
+		b = base64.StdEncoding.AppendEncode(b, chunk[:8*n])
+		obs = obs[n:]
+	}
+	return b, nil
+}
 
 // finite returns the error json.Encoder returns for a NaN or an
 // infinity, which JSON cannot spell.

@@ -96,9 +96,64 @@ func TestDecodePushBatchSkipsBlankLines(t *testing.T) {
 	}
 }
 
-// oracleDecodePushBatch is DecodePushBatch as it was written on
-// encoding/json: the differential tests' reference for which lines are
-// push records and what they decode to.
+// wireRecord mirrors PushRecord for the encoding/json oracle, with the
+// detections' Obs of type O: []byte to encode, so that json.Encoder
+// spells it as base64 of the components' bits, and obsUnion to decode.
+type wireRecord[O any] struct {
+	Seq   int64            `json:"seq"`
+	Frame video.FrameIndex `json:"frame"`
+	Dets  []wireBBox[O]    `json:"dets,omitempty"`
+}
+
+// wireBBox mirrors video.BBox field for field.
+type wireBBox[O any] struct {
+	ID       video.BBoxID
+	Frame    video.FrameIndex
+	Rect     geom.Rect
+	Obs      O
+	Class    video.ClassID
+	GTObject video.ObjectID
+}
+
+// obsBits is obs's components as IEEE-754 bits, 8 little-endian bytes
+// each; nil stays nil.
+func obsBits(obs []float64) []byte {
+	if obs == nil {
+		return nil
+	}
+	b := make([]byte, 0, 8*len(obs))
+	for _, f := range obs {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+	}
+	return b
+}
+
+// obsUnion decodes Obs in either spelling with encoding/json: an array
+// as a []float64, a string as a []byte reinterpreted by obsBits'
+// inverse.
+type obsUnion []float64
+
+func (o *obsUnion) UnmarshalJSON(data []byte) error {
+	if data[0] != '"' {
+		return json.Unmarshal(data, (*[]float64)(o))
+	}
+	var b []byte
+	if err := json.Unmarshal(data, &b); err != nil {
+		return err
+	}
+	if len(b)%8 != 0 {
+		return fmt.Errorf("Obs holds %d bytes", len(b))
+	}
+	*o = make(obsUnion, 0, len(b)/8)
+	for ; len(b) > 0; b = b[8:] {
+		*o = append(*o, math.Float64frombits(binary.LittleEndian.Uint64(b)))
+	}
+	return nil
+}
+
+// oracleDecodePushBatch is DecodePushBatch written on encoding/json: the
+// differential tests' reference for which lines are push records and
+// what they decode to.
 func oracleDecodePushBatch(r io.Reader, maxLine int) ([]PushRecord, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 4096), maxLine)
@@ -115,9 +170,16 @@ func oracleDecodePushBatch(r io.Reader, maxLine int) ([]PushRecord, error) {
 		if len(bytes.TrimSpace(raw)) == 0 {
 			continue
 		}
-		var rec PushRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
+		var w wireRecord[obsUnion]
+		if err := json.Unmarshal(raw, &w); err != nil {
 			return out, fmt.Errorf("line %d: %w", line, err)
+		}
+		rec := PushRecord{Seq: w.Seq, Frame: w.Frame}
+		if w.Dets != nil {
+			rec.Dets = make([]video.BBox, len(w.Dets))
+			for i, d := range w.Dets {
+				rec.Dets[i] = video.BBox{ID: d.ID, Frame: d.Frame, Rect: d.Rect, Obs: []float64(d.Obs), Class: d.Class, GTObject: d.GTObject}
+			}
 		}
 		if rec.Seq < 0 || rec.Seq <= prevSeq || rec.Frame < 0 || rec.Frame > video.MaxFrameIndex ||
 			(havePrev && rec.Frame <= prevFr) {
@@ -137,12 +199,22 @@ func oracleDecodePushBatch(r io.Reader, maxLine int) ([]PushRecord, error) {
 	return out, nil
 }
 
-// oracleEncodePushBatch is EncodePushBatch as it was written on
-// encoding/json.
+// oracleEncodePushBatch is EncodePushBatch written on encoding/json: a
+// record json.Marshal refuses as a PushRecord (a non-finite float) is
+// refused with its error, and any other is written as json.Encoder
+// writes its mirror with Obs as bits.
 func oracleEncodePushBatch(w io.Writer, recs []PushRecord) error {
 	enc := json.NewEncoder(w)
 	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
+		rec := &recs[i]
+		if _, err := json.Marshal(rec); err != nil {
+			return fmt.Errorf("ingress: encode push record %d: %w", i, err)
+		}
+		m := wireRecord[[]byte]{Seq: rec.Seq, Frame: rec.Frame}
+		for _, d := range rec.Dets {
+			m.Dets = append(m.Dets, wireBBox[[]byte]{ID: d.ID, Frame: d.Frame, Rect: d.Rect, Obs: obsBits(d.Obs), Class: d.Class, GTObject: d.GTObject})
+		}
+		if err := enc.Encode(&m); err != nil {
 			return fmt.Errorf("ingress: encode push record %d: %w", i, err)
 		}
 	}
@@ -248,6 +320,26 @@ var pushFuzzSeeds = []string{
 	`{"seq":0,"frame":0,"x":tru}`,
 	`{"seq":0,"frame":0,"x":` + strings.Repeat("[", 10000) + strings.Repeat("]", 10000) + `}`,
 	`{"seq":0,"frame":0,"x":` + strings.Repeat("[", 9999) + strings.Repeat("]", 9999) + `}`,
+	// Obs as base64 float64 bits: empty, 1 and -0.25, escaped
+	// ("\u002b" is '+', "\/" is '/', "\u003d" is '='), \r and \n inside
+	// the text (skipped), lengths that are not whole float64s, an
+	// unpadded text, letters outside the standard alphabet, and the bit
+	// patterns of +Inf, -Inf and NaN.
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":""}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAAAAAA8D8AAAAAAADQvw=="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"\u002b\/\/\/\/\/\/\/778\u003d"}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAA\nAAAA\r\n8D8="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAA"}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAAAAAA8D8AAA=="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAAAAAA8D8"}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"_______-7z8="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAAAAAA8D8=AAAAAAAA8D8="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAAAAAA 8D8="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAAAAAA8H8="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAAAAAA8P8="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":"AAAAAAAA+H8="}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":1}]}`,
+	`{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"obs":"AAAAAAAA8D8=","OBS":[1]}]}`,
 	`[]`,
 	`"seq"`,
 	"{\"seq\":0,\"frame\":0}\n\v\n{\"seq\":1,\"frame\":1}\n{\"seq\":0",
@@ -341,6 +433,78 @@ func TestDecodePushBatchOracleOnlyLines(t *testing.T) {
 				t.Fatalf("decoder accepted %q; listed as refused because %s", tc.line, tc.why)
 			}
 		})
+	}
+}
+
+// TestDecodePushBatchReadmeBody decodes the push body of README's curl
+// example, which a hand-written client sends as is.
+func TestDecodePushBatchReadmeBody(t *testing.T) {
+	body := `
+{"seq":0,"frame":0,"dets":[]}
+{"seq":1,"frame":1,"dets":[]}`
+	recs, err := DecodePushBatch(strings.NewReader(body), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []PushRecord{{Seq: 0, Frame: 0, Dets: []video.BBox{}}, {Seq: 1, Frame: 1, Dets: []video.BBox{}}}
+	if !sameRecords(recs, want) {
+		t.Fatalf("decoded %+v, want %+v", recs, want)
+	}
+	checkAgainstOracle(t, []byte(body), 0)
+}
+
+// TestDecodePushBatchMixedObsSpellings decodes one body holding both
+// spellings of the same observations, and of an empty one, into
+// bitwise-equal records.
+func TestDecodePushBatchMixedObsSpellings(t *testing.T) {
+	det := func(frame int, obs string) string {
+		return fmt.Sprintf(`{"ID":7,"Frame":%d,"Rect":{"X":1,"Y":2,"W":3,"H":4},"Obs":%s,"Class":1,"GTObject":2}`, frame, obs)
+	}
+	body := `{"seq":0,"frame":0,"dets":[` + det(0, `[1,-0.25,-0,0.9999999999999999]`) + `,` + det(0, `[]`) + "]}\n" +
+		`{"seq":1,"frame":1,"dets":[` + det(1, `"AAAAAAAA8D8AAAAAAADQvwAAAAAAAACA////////7z8="`) + `,` + det(1, `""`) + "]}\n" +
+		`{"seq":2,"frame":2,"dets":[` + det(2, `[1,-0.25,-0,0.9999999999999999]`) + `,` + det(2, `""`) + "]}\n"
+	recs, err := DecodePushBatch(strings.NewReader(body), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAgainstOracle(t, []byte(body), 0)
+	if len(recs) != 3 {
+		t.Fatalf("decoded %d records, want 3", len(recs))
+	}
+	for i := 1; i < 3; i++ {
+		a, b := recs[0], recs[i]
+		a.Seq, a.Frame = b.Seq, b.Frame
+		a.Dets = append([]video.BBox(nil), a.Dets...)
+		for j := range a.Dets {
+			a.Dets[j].Frame = b.Frame
+		}
+		if !sameRecords([]PushRecord{a}, []PushRecord{b}) {
+			t.Fatalf("record %d differs from record 0:\n%+v\n%+v", i, b, recs[0])
+		}
+	}
+	if math.Float64bits(recs[1].Dets[0].Obs[2]) != math.Float64bits(math.Copysign(0, -1)) {
+		t.Fatalf("base64 -0 decoded as %v", recs[1].Dets[0].Obs[2])
+	}
+}
+
+// TestDecodePushBatchRefusesBadObsBits checks each refusal of a base64
+// Obs, and that it names the fault.
+func TestDecodePushBatchRefusesBadObsBits(t *testing.T) {
+	cases := []struct{ obs, wantErr string }{
+		{`"AAAA*AAA8D8="`, "not valid base64"},
+		{`"AAAAAAAA8D8"`, "not valid base64"},
+		{`"AAAA"`, "3 bytes"},
+		{`"AAAAAAAA8H8="`, "component 0 is not finite"},
+		{`"AAAAAAAA8D8AAAAAAAD4/w=="`, "component 1 is not finite"},
+		{`"AAAAAAAA+H8="`, "not finite"},
+		{`true`, "not an array or a base64 string"},
+	}
+	for _, tc := range cases {
+		body := `{"seq":0,"frame":0,"dets":[{"Frame":0,"Rect":{"X":0,"Y":0,"W":1,"H":1},"Obs":` + tc.obs + `}]}`
+		_, err := DecodePushBatch(strings.NewReader(body), 0)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("Obs %s: got %v, want an error mentioning %q", tc.obs, err, tc.wantErr)
+		}
 	}
 }
 

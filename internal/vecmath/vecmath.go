@@ -162,8 +162,28 @@ func (m *Mat) Row(i int) Vec { return Vec(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 func (m *Mat) MulVec(dst, v Vec) Vec {
 	checkLen(len(v), m.Cols)
 	checkLen(len(dst), m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+	// Four rows share each pass over v. Each row's sum still runs left
+	// to right, so every element is bit-identical to a row-at-a-time
+	// product.
+	n := m.Cols
+	i := 0
+	for ; i+4 <= m.Rows; i += 4 {
+		r0 := m.Data[i*n : (i+1)*n]
+		r1 := m.Data[(i+1)*n : (i+2)*n]
+		r2 := m.Data[(i+2)*n : (i+3)*n]
+		r3 := m.Data[(i+3)*n : (i+4)*n]
+		r0, r1, r2, r3 = r0[:len(v)], r1[:len(v)], r2[:len(v)], r3[:len(v)]
+		var s0, s1, s2, s3 float64
+		for j, x := range v {
+			s0 += r0[j] * x
+			s1 += r1[j] * x
+			s2 += r2[j] * x
+			s3 += r3[j] * x
+		}
+		dst[i], dst[i+1], dst[i+2], dst[i+3] = s0, s1, s2, s3
+	}
+	for ; i < m.Rows; i++ {
+		row := m.Data[i*n : (i+1)*n]
 		var s float64
 		for j, x := range row {
 			s += x * v[j]

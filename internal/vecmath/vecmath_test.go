@@ -2,6 +2,7 @@ package vecmath
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -86,6 +87,36 @@ func TestMat(t *testing.T) {
 	m.MulVec(dst, Vec{1, 1, 1})
 	if dst[0] != 6 || dst[1] != 15 {
 		t.Errorf("MulVec = %v", dst)
+	}
+}
+
+// TestMulVecMatchesRowLoop checks MulVec bitwise against the plain
+// row-at-a-time loop, on row counts that leave every remainder of 4 and
+// on entries spread over many magnitudes, where a changed summation
+// order would show.
+func TestMulVecMatchesRowLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 9, 13, 67} {
+		for _, cols := range []int{1, 2, 3, 32, 33} {
+			m := NewMat(rows, cols)
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(31)-15))
+			}
+			v := NewVec(cols)
+			for j := range v {
+				v[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(31)-15))
+			}
+			got := m.MulVec(NewVec(rows), v)
+			for i := 0; i < rows; i++ {
+				var want float64
+				for j := 0; j < cols; j++ {
+					want += m.At(i, j) * v[j]
+				}
+				if math.Float64bits(got[i]) != math.Float64bits(want) {
+					t.Fatalf("%dx%d row %d: MulVec %v, row loop %v", rows, cols, i, got[i], want)
+				}
+			}
+		}
 	}
 }
 
